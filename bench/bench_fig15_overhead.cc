@@ -46,7 +46,6 @@ std::vector<double> RatioSeries(const Corpus& corpus,
                                 const std::vector<uint64_t>& checkpoints) {
   EngineStack plain_stack = EngineStack::Plain(corpus, k);
   AsArbiConfig config;
-  config.cache_answers = cache;
   config.simple.cache_answers = cache;
   EngineStack defended_stack = EngineStack::WithArbi(corpus, k, config);
 

@@ -123,7 +123,7 @@ BENCHMARK(BM_AsSimpleSearch);
 void BM_AsArbiSearch(benchmark::State& state) {
   MicroEnv& env = Env();
   AsArbiConfig config;
-  config.cache_answers = false;
+  config.simple.cache_answers = false;
   AsArbiEngine defended(*env.engine, config);
   const auto& log = env.workload->log();
   size_t i = 0;

@@ -19,6 +19,7 @@
 #include "asup/index/block_codec.h"
 #include "asup/index/corpus_io.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/state_io.h"
 #include "fuzz_rig.h"
@@ -257,6 +258,14 @@ int main(int argc, char** argv) {
     std::string flipped = bytes;
     flipped[bytes.size() / 2] ^= 0x01;
     WriteSeed(state_dir, "arbi_bitflip", flipped);
+  }
+  {
+    asup::AsDeclineEngine decline(rig.engine, asup::AsDeclineConfig{});
+    for (const auto& query : queries) decline.Search(query);
+    for (const auto& query : queries) decline.Search(query);  // re-issue
+    std::ostringstream warm;
+    if (!asup::SaveDefenseState(decline, warm)) return 1;
+    WriteSeed(state_dir, "decline_warm", warm.str());
   }
 
   std::printf("seed corpora written under %s\n", root.c_str());

@@ -37,9 +37,10 @@ AnswerCache::Claim AnswerCache::LookupOrClaim(const std::string& key,
                         "Answer-cache slots claimed for computation");
       return Claim::kOwned;
     }
-    if (it->second.ready) {
+    if (it->second.ready()) {
       ASUP_METRIC_COUNT("asup_engine_cache_hits_total", 1,
-                        "Queries answered from the answer cache");
+                        "Answer-cache hits on the locked claim path only; "
+                        "lock-free repeat hits count in engine stats");
       ASUP_METRICS_ONLY(if (span) { ASUP_TRACE_NOTE("cache_hit", 1); })
       *out = it->second.result;
       return Claim::kHit;
@@ -50,7 +51,8 @@ AnswerCache::Claim AnswerCache::LookupOrClaim(const std::string& key,
   }
 }
 
-void AnswerCache::Publish(const std::string& key, const SearchResult& result) {
+void AnswerCache::Publish(const std::string& key, uint64_t epoch,
+                          const SearchResult& result) {
   Shard& shard = ShardFor(key);
   {
     MutexLock lock(shard.mutex);
@@ -60,10 +62,11 @@ void AnswerCache::Publish(const std::string& key, const SearchResult& result) {
     // cache exists to close.
     ASUP_CONTRACTS_ONLY(const auto claimed = shard.map.find(key);
                         ASUP_CHECK(claimed != shard.map.end());
-                        ASUP_CHECK(!claimed->second.ready);)
+                        ASUP_CHECK(!claimed->second.ready());
+                        ASUP_CHECK(epoch != kPending);)
     Entry& entry = shard.map[key];
     entry.result = result;
-    entry.ready = true;
+    entry.epoch = epoch;
   }
   ASUP_METRIC_COUNT("asup_engine_cache_publishes_total", 1,
                     "Computed answers published to the cache");
@@ -77,19 +80,30 @@ void AnswerCache::Abandon(const std::string& key) {
     auto it = shard.map.find(key);
     // Abandoning a published answer would let a later compute replace it;
     // only unclaimed or in-flight keys may be abandoned.
-    ASUP_CHECK(it == shard.map.end() || !it->second.ready);
-    if (it != shard.map.end() && !it->second.ready) shard.map.erase(it);
+    ASUP_CHECK(it == shard.map.end() || !it->second.ready());
+    if (it != shard.map.end() && !it->second.ready()) shard.map.erase(it);
   }
   ASUP_METRIC_COUNT("asup_engine_cache_abandons_total", 1,
                     "Claimed cache slots abandoned after a failure");
   shard.ready_cv.notify_all();
 }
 
-bool AnswerCache::Contains(const std::string& key) const {
-  Shard& shard = ShardFor(key);
+bool AnswerCache::Lookup(uint64_t hash, const std::string& key,
+                         uint64_t epoch, SearchResult* out) const {
+  Shard& shard = ShardFor(hash);
   MutexLock lock(shard.mutex);
-  auto it = shard.map.find(key);
-  return it != shard.map.end() && it->second.ready;
+  auto it = shard.map.find(PrehashedKey{key, hash});
+  if (it == shard.map.end() || it->second.epoch != epoch) return false;
+  *out = it->second.result;
+  return true;
+}
+
+bool AnswerCache::Contains(uint64_t hash, const std::string& key,
+                           uint64_t epoch) const {
+  Shard& shard = ShardFor(hash);
+  MutexLock lock(shard.mutex);
+  auto it = shard.map.find(PrehashedKey{key, hash});
+  return it != shard.map.end() && it->second.epoch == epoch;
 }
 
 size_t AnswerCache::size() const {
@@ -98,7 +112,7 @@ size_t AnswerCache::size() const {
     MutexLock lock(shard.mutex);
     // NOLINTNEXTLINE(asup-unordered-iteration): counting is order-invariant
     for (const auto& [key, entry] : shard.map) {
-      if (entry.ready) ++count;
+      if (entry.ready()) ++count;
     }
   }
   return count;
@@ -111,12 +125,13 @@ void AnswerCache::Clear() {
   }
 }
 
-void AnswerCache::Insert(const std::string& key, SearchResult result) {
+void AnswerCache::Insert(const std::string& key, uint64_t epoch,
+                         SearchResult result) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   Entry& entry = shard.map[key];
   entry.result = std::move(result);
-  entry.ready = true;
+  entry.epoch = epoch;
 }
 
 std::vector<std::pair<std::string, SearchResult>> AnswerCache::Snapshot()
@@ -126,7 +141,7 @@ std::vector<std::pair<std::string, SearchResult>> AnswerCache::Snapshot()
     MutexLock lock(shard.mutex);
     // NOLINTNEXTLINE(asup-unordered-iteration): order canonicalized below
     for (const auto& [key, entry] : shard.map) {
-      if (entry.ready) entries.emplace_back(key, entry.result);
+      if (entry.ready()) entries.emplace_back(key, entry.result);
     }
   }
   // Canonical order: hash-map iteration order must not leak into snapshot

@@ -12,30 +12,19 @@ RankedMatches QueryContext::TopMatches(size_t limit) const {
   if (node != nullptr) {
     const std::vector<TermId>& terms =
         score_terms != nullptr ? *score_terms : query->terms();
-    return snapshot != nullptr
-               ? base->TopMatchesNodeIn(*snapshot, *node, terms, limit)
-               : base->TopMatchesNode(*node, terms, limit);
+    return base->TopMatchesNodeIn(*snapshot, *node, terms, limit);
   }
-  return snapshot != nullptr ? base->TopMatchesIn(*snapshot, *query, limit)
-                             : base->TopMatches(*query, limit);
+  return base->TopMatchesIn(*snapshot, *query, limit);
 }
 
 size_t QueryContext::MatchCount() const {
-  if (node != nullptr) {
-    return snapshot != nullptr ? base->MatchCountNodeIn(*snapshot, *node)
-                               : base->MatchCountNode(*node);
-  }
-  return snapshot != nullptr ? base->MatchCountIn(*snapshot, *query)
-                             : base->MatchCount(*query);
+  if (node != nullptr) return base->MatchCountNodeIn(*snapshot, *node);
+  return base->MatchCountIn(*snapshot, *query);
 }
 
 std::vector<DocId> QueryContext::MatchIds() const {
-  if (node != nullptr) {
-    return snapshot != nullptr ? base->MatchIdsNodeIn(*snapshot, *node)
-                               : base->MatchIdsNode(*node);
-  }
-  return snapshot != nullptr ? base->MatchIdsIn(*snapshot, *query)
-                             : base->MatchIds(*query);
+  if (node != nullptr) return base->MatchIdsNodeIn(*snapshot, *node);
+  return base->MatchIdsIn(*snapshot, *query);
 }
 
 ProcessorChain& ProcessorChain::Add(
@@ -48,6 +37,7 @@ ProcessorChain& ProcessorChain::Add(
 void ProcessorChain::Run(QueryContext& context) const {
   ASUP_CHECK(context.query != nullptr);
   ASUP_CHECK(context.base != nullptr);
+  ASUP_CHECK(context.snapshot != nullptr);
   for (const auto& stage : stages_) {
     if (context.finished && !stage->RunsWhenFinished()) continue;
     stage->Process(context);
@@ -116,14 +106,8 @@ void RescoreProcessor::Process(QueryContext& context) const {
   // The scoring context needs a single-index view of the corpus; every
   // manager-built snapshot has one (borrowed sharded deployments rescore
   // via their own service instead).
-  SnapshotHandle pinned;
-  const CorpusSnapshot* snapshot = context.snapshot;
-  if (snapshot == nullptr) {
-    pinned = context.base->PinSnapshot();
-    snapshot = pinned.get();
-  }
-  if (!snapshot->has_index()) return;
-  const InvertedIndex& index = snapshot->index();
+  if (!context.snapshot->has_index()) return;
+  const InvertedIndex& index = context.snapshot->index();
   const auto& terms = context.query->terms();
   const ScoringContext scoring = MakeScoringContext(index, terms);
   for (ScoredDoc& entry : context.result.docs) {
@@ -142,13 +126,7 @@ void RescoreProcessor::Process(QueryContext& context) const {
 
 void FacetCountProcessor::Process(QueryContext& context) const {
   if (context.result.docs.empty()) return;
-  SnapshotHandle pinned;
-  const CorpusSnapshot* snapshot = context.snapshot;
-  if (snapshot == nullptr) {
-    pinned = context.base->PinSnapshot();
-    snapshot = pinned.get();
-  }
-  const Corpus& corpus = snapshot->corpus();
+  const Corpus& corpus = context.snapshot->corpus();
   std::map<uint64_t, size_t> buckets;
   for (const ScoredDoc& entry : context.result.docs) {
     const uint64_t length = corpus.Get(entry.doc).length();

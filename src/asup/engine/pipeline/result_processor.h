@@ -37,9 +37,8 @@ struct QueryContext {
   /// query->terms(). Ignored when `node` is null.
   const std::vector<TermId>* score_terms = nullptr;
   MatchingEngine* base = nullptr;
-  /// The epoch every match/rank call resolves against. Null only for
-  /// engines with no epoch pinning (AS-DECLINE), whose match stages then
-  /// pin the current epoch per call — exactly the pre-pipeline behavior.
+  /// The epoch every match/rank call resolves against. Required: every
+  /// chain runs against a pinned epoch (ProcessorChain::Run checks it).
   const CorpusSnapshot* snapshot = nullptr;
   /// The interface's result limit k.
   size_t k = 0;
@@ -53,7 +52,7 @@ struct QueryContext {
   /// trace it; the undefended interface path never did).
   bool trace_match = false;
   /// Segment arithmetic of the engine's pinned epoch, when the engine has
-  /// one (AS-SIMPLE and everything built on it). Read-only.
+  /// one (every defended engine). Read-only.
   const IndistinguishableSegment* segment = nullptr;
 
   // --- match-phase state ---
@@ -64,7 +63,7 @@ struct QueryContext {
   /// |Sel(q)|.
   size_t match_count = 0;
   bool have_match_count = false;
-  /// All matching document ids, ascending (AS-ARBI's cover evaluation).
+  /// All matching document ids, ascending (the cover evaluation).
   const std::vector<DocId>* match_ids = nullptr;
   std::vector<DocId> owned_match_ids;
 
@@ -90,16 +89,12 @@ struct QueryContext {
   /// lock by the cover stage so the virtual-answer stage needs no lock.
   std::vector<DocId> cover_pool;
   bool virtual_answered = false;
-  /// The query fell through to the inner AS-SIMPLE engine (AS-ARBI /
-  /// AS-DECLINE chains; gates the history-record stage).
-  bool fell_through = false;
 
   // --- aggregation output (FacetCountProcessor) ---
   /// (bucket lower bound, count) pairs, ascending by bucket.
   std::vector<std::pair<uint64_t, size_t>> facet_buckets;
 
-  // Match helpers dispatching to the pinned epoch when one is set, the
-  // current epoch otherwise.
+  // Match helpers resolving against the pinned epoch.
   RankedMatches TopMatches(size_t limit) const;
   size_t MatchCount() const;
   std::vector<DocId> MatchIds() const;

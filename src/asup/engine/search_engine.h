@@ -58,7 +58,9 @@ class MatchingEngine : public SearchService {
   virtual SnapshotHandle PinSnapshot() const = 0;
 
   /// Epoch number of the current snapshot (0 for static deployments).
-  uint64_t CurrentEpoch() const { return PinSnapshot()->epoch(); }
+  /// The defended engines read it on every query, so implementations
+  /// answer it without pinning a handle.
+  virtual uint64_t CurrentEpoch() const { return PinSnapshot()->epoch(); }
 
   // Boolean-tree entry points — the layer every match actually executes
   // through (engine/doc_iterator.h). Implementations compile `node` into
@@ -126,17 +128,6 @@ class MatchingEngine : public SearchService {
   std::vector<DocId> MatchIds(const KeywordQuery& query) const {
     return MatchIdsIn(*PinSnapshot(), query);
   }
-  RankedMatches TopMatchesNode(const QueryNode& node,
-                               std::span<const TermId> score_terms,
-                               size_t limit) const {
-    return TopMatchesNodeIn(*PinSnapshot(), node, score_terms, limit);
-  }
-  size_t MatchCountNode(const QueryNode& node) const {
-    return MatchCountNodeIn(*PinSnapshot(), node);
-  }
-  std::vector<DocId> MatchIdsNode(const QueryNode& node) const {
-    return MatchIdsNodeIn(*PinSnapshot(), node);
-  }
   std::vector<ScoredDoc> RankDocs(const KeywordQuery& query,
                                   std::span<const DocId> docs) const {
     return RankDocsIn(*PinSnapshot(), query, docs);
@@ -178,6 +169,10 @@ class PlainSearchEngine : public MatchingEngine {
 
   SnapshotHandle PinSnapshot() const override {
     return manager_ != nullptr ? manager_->Current() : static_snapshot_;
+  }
+  /// A static deployment is epoch 0 forever.
+  uint64_t CurrentEpoch() const override {
+    return manager_ != nullptr ? manager_->CurrentEpoch() : 0;
   }
 
   RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,

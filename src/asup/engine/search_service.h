@@ -55,9 +55,9 @@ struct SearchResult {
 
 /// The public keyword-search interface.
 ///
-/// `PlainSearchEngine`, `AsSimpleEngine` and `AsArbiEngine` all implement
-/// this interface, so adversaries and workloads run unchanged against
-/// defended and undefended engines.
+/// `PlainSearchEngine` and every defended engine (`DefendedEngine`)
+/// implement this interface, so adversaries and workloads run unchanged
+/// against defended and undefended engines.
 class SearchService {
  public:
   virtual ~SearchService() = default;

@@ -57,6 +57,10 @@ class ShardedSearchService : public MatchingEngine {
   SnapshotHandle PinSnapshot() const override {
     return manager_ != nullptr ? manager_->Current() : static_snapshot_;
   }
+  /// A static deployment is epoch 0 forever.
+  uint64_t CurrentEpoch() const override {
+    return manager_ != nullptr ? manager_->CurrentEpoch() : 0;
+  }
 
   RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
                                  const QueryNode& node,

@@ -161,8 +161,11 @@ class CorpusManager {
     return current_;
   }
 
-  /// Epoch number of Current().
-  uint64_t CurrentEpoch() const { return Current()->epoch(); }
+  /// Epoch number of Current(). Wait-free: reads a mirror published with
+  /// the handle, never the handle itself.
+  uint64_t CurrentEpoch() const {
+    return current_epoch_.load(std::memory_order_acquire);
+  }
 
   /// Builds and publishes the next epoch from `delta` (validity rules in
   /// text/corpus_delta.h). Returns the published snapshot. An empty delta
@@ -190,7 +193,9 @@ class CorpusManager {
   /// scope.)
   void Publish(SnapshotHandle next) ASUP_EXCLUDES(current_mutex_) {
     MutexLock guard(current_mutex_);
+    const uint64_t epoch = next->epoch();
     current_ = std::move(next);
+    current_epoch_.store(epoch, std::memory_order_release);
   }
 
   Options options_;
@@ -213,6 +218,9 @@ class CorpusManager {
   /// pointee is immutable, so the PT annotation never constrains them.
   SnapshotHandle current_ ASUP_GUARDED_BY(current_mutex_)
       ASUP_PT_GUARDED_BY(current_mutex_);
+  /// current_->epoch(), stored after every swap. A reader may see it lag a
+  /// publish in flight, never lead one.
+  std::atomic<uint64_t> current_epoch_{0};
 };
 
 }  // namespace asup

@@ -1,74 +1,9 @@
 #ifndef ASUP_SUPPRESS_AS_DECLINE_H_
 #define ASUP_SUPPRESS_AS_DECLINE_H_
 
-#include <string>
-#include <unordered_map>
-
-#include "asup/engine/search_engine.h"
-#include "asup/engine/search_service.h"
-#include "asup/suppress/as_simple.h"
-#include "asup/suppress/cover_finder.h"
-#include "asup/suppress/history_store.h"
-
-namespace asup {
-
-/// Configuration of AS-DECLINE; identical knobs to AS-ARBI's trigger.
-struct AsDeclineConfig {
-  AsSimpleConfig simple;
-  size_t cover_size = 5;
-  double cover_ratio = 1.0;
-  bool cache_answers = true;
-};
-
-/// Counters exposed for tests and ablations.
-struct AsDeclineStats {
-  uint64_t queries_processed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t declined = 0;
-  uint64_t simple_answers = 0;
-};
-
-/// The *decline-based* defense of Section 5.2 — the paper's stepping stone
-/// toward AS-ARBI. A query whose match set is σ-covered by at most m
-/// historic answers is simply refused (status kDeclined, empty answer):
-/// since the decline response is the same over every corpus in the
-/// indistinguishable segment, the correlated-query adversary learns
-/// nothing. The cost is recall: bona fide users issuing similar-but-
-/// different queries ("sigmod 2012" / "acm sigmod 2012") get refusals
-/// where AS-ARBI would answer virtually. Implemented to make that
-/// comparison measurable (see bench_ablation_decline).
-class AsDeclineEngine : public SearchService {
- public:
-  AsDeclineEngine(MatchingEngine& base, const AsDeclineConfig& config);
-
-  SearchResult Search(const KeywordQuery& query) override;
-
-  size_t k() const override { return base_->k(); }
-
-  const AsDeclineStats& stats() const { return stats_; }
-  const HistoryStore& history() const { return history_; }
-  const AsSimpleEngine& simple_engine() const { return simple_; }
-
- private:
-  // The pipeline stages this engine's chain is composed of (the decline
-  // trigger and the AS-SIMPLE fall-through; suppress/processors.h). This
-  // engine is serial, so the stages touch its state directly.
-  friend class AsDeclineTriggerProcessor;
-  friend class AsDeclineFallthroughProcessor;
-
-  MatchingEngine* base_;
-  AsDeclineConfig config_;
-  AsSimpleEngine simple_;
-  HistoryStore history_;
-  CoverFinder finder_;
-  std::unordered_map<std::string, SearchResult> answer_cache_;
-  AsDeclineStats stats_;
-  /// Section 5.2's decline defense as a processor chain: match count →
-  /// underflow guard → decline trigger → fall-through. Composed once at
-  /// construction, immutable afterwards.
-  ProcessorChain chain_;
-};
-
-}  // namespace asup
+// AS-DECLINE (the decline defense of Section 5.2) is the DefendedEngine
+// built from an AsDeclineConfig: one engine, one chain per defense
+// (suppress/defended_engine.h).
+#include "asup/suppress/defended_engine.h"
 
 #endif  // ASUP_SUPPRESS_AS_DECLINE_H_

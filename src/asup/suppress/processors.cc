@@ -7,19 +7,94 @@
 
 #include "asup/obs/event_log.h"
 #include "asup/obs/trace.h"
-#include "asup/suppress/as_arbi.h"
-#include "asup/suppress/as_decline.h"
-#include "asup/suppress/as_simple.h"
 #include "asup/suppress/segment.h"
 #include "asup/util/check.h"
 
 namespace asup {
 
-void AsSimpleGuardProcessor::Process(QueryContext& context) const {
+DefenseHistory::DefenseHistory(size_t cover_size, double cover_ratio)
+    : cover_size_(cover_size),
+      cover_ratio_(cover_ratio),
+      finder_(store_, cover_size, cover_ratio) {
+  ASUP_CHECK(cover_size >= 1);
+  ASUP_CHECK(cover_ratio > 0.0);
+  ASUP_CHECK_LE(cover_ratio, 1.0);
+}
+
+bool DefenseHistory::TriggerPlausible(size_t match_count, size_t k) const {
+  const double max_coverable = static_cast<double>(cover_size_ * k);
+  return cover_ratio_ * static_cast<double>(match_count) <= max_coverable;
+}
+
+bool DefenseHistory::MayCover(size_t match_count) const {
+  const size_t need = std::max<size_t>(
+      1, static_cast<size_t>(
+             std::ceil(cover_ratio_ * static_cast<double>(match_count))));
+  return queries_.load(std::memory_order_acquire) != 0 &&
+         docs_seen_.load(std::memory_order_acquire) >= need;
+}
+
+void DefenseHistory::Record(const KeywordQuery& query,
+                            std::vector<DocId> answer) {
+  ASUP_CONTRACTS_ONLY(const size_t queries_before = store_.NumQueries();
+                      const size_t docs_before = store_.NumDocumentsSeen();)
+  store_.Record(query, std::move(answer));
+  // Within one epoch the history only ever grows — answers, once
+  // disclosed, cannot be retracted; the lock-free prescreen relies on the
+  // mirrors being monotone lower bounds of the store. (Epoch compaction
+  // may shrink both, but only with every prescreen reader quiesced behind
+  // the exclusive epoch lock.)
+  ASUP_CONTRACTS_ONLY(ASUP_CHECK_EQ(store_.NumQueries(), queries_before + 1);
+                      ASUP_CHECK(store_.NumDocumentsSeen() >= docs_before);)
+  RefreshMirrors();
+}
+
+void DefenseHistory::Replace(HistoryStore store) {
+  store_ = std::move(store);
+  RefreshMirrors();
+}
+
+void DefenseHistory::CompactTo(const CorpusSnapshot& to) {
+  // Rebuild the store keeping the original record order, so surviving
+  // entries keep their relative indices and the cover search's tie-breaks
+  // stay deterministic. Deleted documents can never be matched (they left
+  // the index) nor disclosed again, so dropping them loses nothing; an
+  // answer with no surviving document can no longer cover anything and is
+  // removed outright.
+  HistoryStore compacted;
+  const size_t num_queries = store_.NumQueries();
+  size_t dropped_entries = 0;
+  for (size_t i = 0; i < num_queries; ++i) {
+    const HistoryStore::HistoricQuery& entry = store_.QueryAt(i);
+    std::vector<DocId> survivors;
+    survivors.reserve(entry.answer.size());
+    for (DocId doc : entry.answer) {
+      if (to.Contains(doc)) survivors.push_back(doc);
+    }
+    if (survivors.empty()) {
+      ++dropped_entries;
+      continue;
+    }
+    compacted.Record(entry.query, std::move(survivors));
+  }
+  store_ = std::move(compacted);
+  RefreshMirrors();
+  ASUP_TRACE_NOTE("epoch_history_dropped", dropped_entries);
+}
+
+void DefenseHistory::RefreshMirrors() {
+  docs_seen_.store(store_.NumDocumentsSeen(), std::memory_order_release);
+  queries_.store(store_.NumQueries(), std::memory_order_release);
+  ASUP_METRIC_GAUGE_SET("asup_suppress_history_queries", store_.NumQueries());
+  ASUP_METRIC_GAUGE_SET("asup_suppress_history_docs_seen",
+                        store_.NumDocumentsSeen());
+}
+
+void SuppressGuardProcessor::Process(QueryContext& context) const {
   const RankedMatches& ranked = *context.ranked;
   const size_t m_size = ranked.docs.size();
   // Algorithm 1 line 5: |M(q)| = min(|Sel(q)|, γ·k).
-  ASUP_CHECK_LE(m_size, engine_->m_limit_);
+  ASUP_CHECK_LE(m_size, context.match_limit);
   ASUP_CHECK_LE(m_size, ranked.total_matches);
   if (ranked.total_matches == 0) {
     context.result.status = QueryStatus::kUnderflow;
@@ -31,7 +106,7 @@ void AsSimpleGuardProcessor::Process(QueryContext& context) const {
   context.probe_ready = true;
 }
 
-void AsSimpleHideProcessor::Process(QueryContext& context) const {
+void HideProcessor::Process(QueryContext& context) const {
   const RankedMatches& ranked = *context.ranked;
   const size_t m_size = ranked.docs.size();
 
@@ -54,10 +129,10 @@ void AsSimpleHideProcessor::Process(QueryContext& context) const {
   {
     ASUP_TRACE_STAGE(obs::Stage::kHide);
     for (const ScoredDoc& scored : ranked.docs) {
-      if (engine_->returned_before_.TestAndSet(
+      if (returned_before_->TestAndSet(
               context.snapshot->LocalOf(scored.doc))) {
-        if (engine_->coin_.Accept(context.query->hash(), scored.doc,
-                                  keep_probability)) {
+        if (coin_->Accept(context.query->hash(), scored.doc,
+                          keep_probability)) {
           context.docs.push_back(scored);
           ++reshown;
         } else {
@@ -69,7 +144,7 @@ void AsSimpleHideProcessor::Process(QueryContext& context) const {
     }
   }
   if (hidden != 0) {
-    engine_->stats_.docs_hidden.fetch_add(hidden, std::memory_order_relaxed);
+    counters_->docs_hidden.fetch_add(hidden, std::memory_order_relaxed);
   }
   ASUP_METRIC_COUNT("asup_suppress_docs_hidden_total", hidden);
   ASUP_METRIC_COUNT("asup_suppress_docs_reshown_total", reshown);
@@ -86,12 +161,12 @@ void AsSimpleHideProcessor::Process(QueryContext& context) const {
   // all of M(q) entering Θ_R).
   ASUP_CONTRACTS_ONLY(for (const ScoredDoc& scored : ranked.docs) {
     ASUP_DCHECK(
-        engine_->returned_before_.Test(context.snapshot->LocalOf(scored.doc)));
+        returned_before_->Test(context.snapshot->LocalOf(scored.doc)));
   })
   ASUP_CHECK_EQ(context.docs.size() + hidden, m_size);
 }
 
-void AsSimpleTrimProcessor::Process(QueryContext& context) const {
+void TrimProcessor::Process(QueryContext& context) const {
   // Line 14: trim to min(|M(q)|/μ, k) lowest-rank-last documents. When the
   // query overflows, documents hidden above are implicitly replaced by
   // lower-ranked survivors of M(q).
@@ -104,7 +179,7 @@ void AsSimpleTrimProcessor::Process(QueryContext& context) const {
   const size_t keep = std::min(lhs_target, context.k);
   if (context.docs.size() > keep) {
     const uint64_t trimmed = context.docs.size() - keep;
-    engine_->stats_.docs_trimmed.fetch_add(trimmed, std::memory_order_relaxed);
+    counters_->docs_trimmed.fetch_add(trimmed, std::memory_order_relaxed);
     ASUP_METRIC_COUNT("asup_suppress_docs_trimmed_total", trimmed);
     ASUP_TRACE_NOTE("docs_trimmed", trimmed);
     context.docs_trimmed = trimmed;
@@ -168,21 +243,14 @@ void SelSizeNoteProcessor::Process(QueryContext& context) const {
   ASUP_TRACE_NOTE("sel_size", context.match_count);
 }
 
-void AsArbiCoverProcessor::Process(QueryContext& context) const {
-  if (!engine_->TriggerPlausible(context.match_count)) return;
-  engine_->stats_.trigger_evaluations.fetch_add(1, std::memory_order_relaxed);
+void CoverProcessor::Process(QueryContext& context) const {
+  if (!history_->TriggerPlausible(context.match_count, context.k)) return;
+  counters_->trigger_evaluations.fetch_add(1, std::memory_order_relaxed);
   ASUP_METRIC_COUNT("asup_suppress_arbi_trigger_evals_total", 1);
   // Lock-free pre-screen: with no recorded answer, or fewer documents
   // ever disclosed than the coverage target, no cover can exist — skip
   // the history lock entirely.
-  const size_t need = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(engine_->config_.cover_ratio *
-                       static_cast<double>(context.match_count))));
-  if (engine_->history_queries_.load(std::memory_order_acquire) == 0 ||
-      engine_->history_docs_seen_.load(std::memory_order_acquire) < need) {
-    return;
-  }
+  if (!history_->MayCover(context.match_count)) return;
   if (context.prefetch != nullptr && context.prefetch->has_match_ids) {
     context.match_ids = &context.prefetch->match_ids;
   } else {
@@ -192,26 +260,25 @@ void AsArbiCoverProcessor::Process(QueryContext& context) const {
     }
     context.match_ids = &context.owned_match_ids;
   }
-  ReaderLock lock(engine_->history_mutex_);
+  ReaderLock lock(history_->mutex);
   CoverResult cover;
   {
     ASUP_TRACE_STAGE(obs::Stage::kCover);
-    cover = engine_->finder_.Find(*context.match_ids);
+    cover = history_->Find(*context.match_ids);
   }
   if (!cover.found) return;
-  engine_->stats_.virtual_answers.fetch_add(1, std::memory_order_relaxed);
-  ASUP_METRIC_COUNT("asup_suppress_arbi_virtual_answers_total", 1);
   ASUP_TRACE_NOTE("cover_answers_used", cover.query_indices.size());
   // Algorithm 2's cover contract: at most m historic answers...
   ASUP_CHECK(!cover.query_indices.empty());
-  ASUP_CHECK_LE(cover.query_indices.size(), engine_->config_.cover_size);
+  ASUP_CHECK_LE(cover.query_indices.size(), history_->cover_size());
   context.cover_found = true;
   context.cover_answers_used = cover.query_indices.size();
   // Union of the covering historic answers, read while still holding the
   // history lock (shared side) the cover search ran under.
+  const HistoryStore& store = history_->store();
   for (uint32_t qi : cover.query_indices) {
-    ASUP_CHECK_LT(qi, engine_->history_.NumQueries());
-    const auto& answer = engine_->history_.QueryAt(qi).answer;
+    ASUP_CHECK_LT(qi, store.NumQueries());
+    const auto& answer = store.QueryAt(qi).answer;
     context.cover_pool.insert(context.cover_pool.end(), answer.begin(),
                               answer.end());
   }
@@ -221,8 +288,10 @@ void AsArbiCoverProcessor::Process(QueryContext& context) const {
       context.cover_pool.end());
 }
 
-void AsArbiVirtualProcessor::Process(QueryContext& context) const {
+void VirtualAnswerProcessor::Process(QueryContext& context) const {
   if (!context.cover_found) return;
+  counters_->virtual_answers.fetch_add(1, std::memory_order_relaxed);
+  ASUP_METRIC_COUNT("asup_suppress_arbi_virtual_answers_total", 1);
   ASUP_TRACE_STAGE(obs::Stage::kVirtual);
   const std::vector<DocId>& match_ids = *context.match_ids;
   // q ∩ (Res(q1) ∪ ... ∪ Res(qu)); both inputs are ascending.
@@ -238,10 +307,10 @@ void AsArbiVirtualProcessor::Process(QueryContext& context) const {
   // no new query–document edge and no fresh degree evidence).
   ASUP_CONTRACTS_ONLY(
       const auto need = static_cast<size_t>(
-          std::ceil(engine_->config_.cover_ratio *
+          std::ceil(history_->cover_ratio() *
                     static_cast<double>(match_ids.size())));
       ASUP_CHECK(virtual_ids.size() >= need); for (DocId doc : virtual_ids) {
-        ASUP_DCHECK(engine_->simple_.IsActivated(doc));
+        ASUP_DCHECK(returned_before_->Test(context.snapshot->LocalOf(doc)));
       })
 
   if (virtual_ids.empty()) {
@@ -267,69 +336,23 @@ void AsArbiVirtualProcessor::Process(QueryContext& context) const {
   context.finished = true;
 }
 
-void AsArbiFallthroughProcessor::Process(QueryContext& context) const {
-  // Lines 6-8: fall through to AS-SIMPLE and remember the answer. The
-  // inner engine is driven pinned to our snapshot — it was migrated in
-  // lockstep, so the epochs agree by construction.
-  engine_->stats_.simple_answers.fetch_add(1, std::memory_order_relaxed);
-  ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
-  context.result = engine_->simple_.SearchPinned(*context.query,
-                                                 context.prefetch,
-                                                 *context.snapshot);
-  context.fell_through = true;
-  context.finished = true;
-}
-
-void AsArbiHistoryProcessor::Process(QueryContext& context) const {
-  if (!context.fell_through || context.result.docs.empty()) return;
-  ASUP_TRACE_STAGE(obs::Stage::kHistoryRecord);
-  WriterLock lock(engine_->history_mutex_);
-  ASUP_CONTRACTS_ONLY(
-      const size_t queries_before = engine_->history_.NumQueries();
-      const size_t docs_before = engine_->history_.NumDocumentsSeen();)
-  engine_->history_.Record(*context.query, context.result.DocIds());
-  // Within one epoch the history only ever grows — answers, once
-  // disclosed, cannot be retracted; the cover trigger's lock-free
-  // prescreen relies on the mirrors being monotone lower bounds of the
-  // store. (Epoch compaction may shrink both, but only with every
-  // prescreen reader quiesced behind the exclusive epoch lock.)
-  ASUP_CONTRACTS_ONLY(
-      ASUP_CHECK_EQ(engine_->history_.NumQueries(), queries_before + 1);
-      ASUP_CHECK(engine_->history_.NumDocumentsSeen() >= docs_before);)
-  engine_->history_docs_seen_.store(engine_->history_.NumDocumentsSeen(),
-                                    std::memory_order_release);
-  engine_->history_queries_.store(engine_->history_.NumQueries(),
-                                  std::memory_order_release);
-  ASUP_METRIC_GAUGE_SET("asup_suppress_history_queries",
-                        engine_->history_.NumQueries());
-  ASUP_METRIC_GAUGE_SET("asup_suppress_history_docs_seen",
-                        engine_->history_.NumDocumentsSeen());
-}
-
-void AsDeclineTriggerProcessor::Process(QueryContext& context) const {
-  const double max_coverable = static_cast<double>(
-      engine_->config_.cover_size * context.k);
-  if (engine_->config_.cover_ratio *
-          static_cast<double>(context.match_count) >
-      max_coverable) {
-    return;
-  }
-  context.owned_match_ids = context.MatchIds();
-  context.match_ids = &context.owned_match_ids;
-  if (!engine_->finder_.Find(*context.match_ids).found) return;
-  ++engine_->stats_.declined;
+void DeclineProcessor::Process(QueryContext& context) const {
+  if (!context.cover_found) return;
+  counters_->declined.fetch_add(1, std::memory_order_relaxed);
   context.result.status = QueryStatus::kDeclined;
   context.finished = true;
 }
 
-void AsDeclineFallthroughProcessor::Process(QueryContext& context) const {
-  ++engine_->stats_.simple_answers;
-  context.result = engine_->simple_.Search(*context.query);
-  context.fell_through = true;
-  if (!context.result.docs.empty()) {
-    engine_->history_.Record(*context.query, context.result.DocIds());
-  }
-  context.finished = true;
+void HistoryRecordProcessor::Process(QueryContext& context) const {
+  // Only queries the AS-SIMPLE stages answered (Algorithm 2 lines 6-8);
+  // underflows, virtual answers and refusals never reach the match stage.
+  if (context.ranked == nullptr) return;
+  counters_->simple_answers.fetch_add(1, std::memory_order_relaxed);
+  ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
+  if (context.result.docs.empty()) return;
+  ASUP_TRACE_STAGE(obs::Stage::kHistoryRecord);
+  WriterLock lock(history_->mutex);
+  history_->Record(*context.query, context.result.DocIds());
 }
 
 }  // namespace asup

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,10 +14,22 @@ namespace {
 
 // Format v2 adds the epoch content fingerprint after the config
 // fingerprint; the body is unchanged. v1 snapshots still load.
-constexpr char kSimpleMagicV1[4] = {'A', 'S', 'S', '1'};
 constexpr char kSimpleMagicV2[4] = {'A', 'S', 'S', '2'};
-constexpr char kArbiMagicV1[4] = {'A', 'S', 'A', '1'};
-constexpr char kArbiMagicV2[4] = {'A', 'S', 'A', '2'};
+
+using CacheEntries = std::vector<std::pair<std::string, SearchResult>>;
+
+// The third magic byte names the defense: 'S'imple, 'A'rbi, 'D'ecline.
+char KindOf(DefenseAlgorithm defense) {
+  switch (defense) {
+    case DefenseAlgorithm::kSimple:
+      return 'S';
+    case DefenseAlgorithm::kArbi:
+      return 'A';
+    case DefenseAlgorithm::kDecline:
+      return 'D';
+  }
+  return '?';
+}
 
 void PutU64(uint64_t value, std::ostream& out) {
   for (int i = 0; i < 8; ++i) out.put(static_cast<char>(value >> (8 * i)));
@@ -95,15 +106,15 @@ bool GetResult(std::istream& in, SearchResult& result) {
 // fingerprint — document ids, lengths and term frequencies, deliberately
 // not the epoch counter, so incrementally maintained and freshly built
 // engines over the same corpus interoperate byte-for-byte.
-void PutFingerprint(const AsSimpleEngine& engine,
+void PutFingerprint(const DefendedEngine& engine,
                     const CorpusSnapshot& snapshot, std::ostream& out) {
   PutU64(engine.segment().corpus_size(), out);
-  PutDouble(engine.config().gamma, out);
-  PutU64(engine.config().secret_key, out);
+  PutDouble(engine.config().simple.gamma, out);
+  PutU64(engine.config().simple.secret_key, out);
   PutU64(snapshot.Fingerprint(), out);
 }
 
-bool CheckFingerprint(const AsSimpleEngine& engine,
+bool CheckFingerprint(const DefendedEngine& engine,
                       const CorpusSnapshot& snapshot, std::istream& in,
                       bool check_content) {
   uint64_t corpus_size = 0;
@@ -113,8 +124,8 @@ bool CheckFingerprint(const AsSimpleEngine& engine,
     return false;
   }
   if (corpus_size != engine.segment().corpus_size() ||
-      gamma != engine.config().gamma ||
-      key != engine.config().secret_key) {
+      gamma != engine.config().simple.gamma ||
+      key != engine.config().simple.secret_key) {
     return false;
   }
   if (!check_content) return true;  // v1 snapshot: size check only
@@ -123,8 +134,8 @@ bool CheckFingerprint(const AsSimpleEngine& engine,
   return content == snapshot.Fingerprint();
 }
 
-// Reads a 4-byte magic with prefix `kind` ('S' or 'A') and reports the
-// format version, or 0 on mismatch.
+// Reads a 4-byte magic with defense letter `kind` and reports the format
+// version, or 0 on mismatch.
 int ReadVersion(std::istream& in, char kind) {
   char magic[4];
   in.read(magic, 4);
@@ -134,11 +145,39 @@ int ReadVersion(std::istream& in, char kind) {
   return 0;
 }
 
+void PutCache(const CacheEntries& entries, std::ostream& out) {
+  PutU64(entries.size(), out);
+  for (const auto& [canonical, result] : entries) {
+    PutString(canonical, out);
+    PutResult(result, out);
+  }
+}
+
+// Staged in snapshot order (a vector, not a hash map: restore order is
+// part of the deterministic-replay story and must match the file).
+bool GetCache(std::istream& in, CacheEntries& entries) {
+  uint64_t count = 0;
+  if (!GetU64(in, count)) return false;
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string canonical;
+    SearchResult result;
+    if (!GetString(in, canonical) || !GetResult(in, result)) return false;
+    entries.emplace_back(std::move(canonical), std::move(result));
+  }
+  return true;
+}
+
 }  // namespace
 
 // Quiesced by contract (see state_io.h): guarded state is read lock-free.
-bool SaveDefenseState(const AsSimpleEngine& engine, std::ostream& out)
+bool SaveDefenseState(const DefendedEngine& engine, std::ostream& out)
     ASUP_NO_THREAD_SAFETY_ANALYSIS {
+  const char kind = KindOf(engine.defense());
+  const CacheEntries cache = engine.answer_cache_.Snapshot();
+  if (kind != 'S') {
+    const char magic[4] = {'A', 'S', kind, '2'};
+    out.write(magic, 4);
+  }
   out.write(kSimpleMagicV2, 4);
   // Θ_R is stored as universe document ids (stable across restarts and
   // epochs); the engine's atomic bitmap is indexed by dense local id of
@@ -150,19 +189,31 @@ bool SaveDefenseState(const AsSimpleEngine& engine, std::ostream& out)
   for (size_t local : locals) {
     PutU64(snapshot.LocalToId(static_cast<uint32_t>(local)), out);
   }
-  const auto cache_entries = engine.answer_cache_.Snapshot();
-  PutU64(cache_entries.size(), out);
-  for (const auto& [canonical, result] : cache_entries) {
-    PutString(canonical, out);
-    PutResult(result, out);
+  if (kind == 'S') {
+    PutCache(cache, out);
+  } else {
+    // The cover defenses keep their answers in the trailing section; the
+    // nested AS-SIMPLE section's cache is always empty.
+    PutCache({}, out);
+    const HistoryStore& history = engine.history_.UnlockedStore();
+    PutU64(history.NumQueries(), out);
+    for (size_t i = 0; i < history.NumQueries(); ++i) {
+      const auto& entry = history.QueryAt(i);
+      PutString(entry.query.canonical(), out);
+      PutU64(entry.answer.size(), out);
+      for (DocId doc : entry.answer) PutU64(doc, out);
+    }
+    PutCache(cache, out);
   }
   out.flush();
   return static_cast<bool>(out);
 }
 
 // Quiesced by contract (see state_io.h): guarded state is written lock-free.
-bool LoadDefenseState(AsSimpleEngine& engine, std::istream& in)
+bool LoadDefenseState(DefendedEngine& engine, std::istream& in)
     ASUP_NO_THREAD_SAFETY_ANALYSIS {
+  const char kind = KindOf(engine.defense());
+  if (kind != 'S' && ReadVersion(in, kind) == 0) return false;
   const int version = ReadVersion(in, 'S');
   if (version == 0) return false;
   const CorpusSnapshot& snapshot = *engine.snapshot_;
@@ -183,111 +234,44 @@ bool LoadDefenseState(AsSimpleEngine& engine, std::istream& in)
     if (!snapshot.Contains(static_cast<DocId>(doc))) return false;
     returned.push_back(static_cast<DocId>(doc));
   }
+  CacheEntries cache;
+  if (!GetCache(in, cache)) return false;
 
-  // Staged in snapshot order (a vector, not a hash map: restore order is
-  // part of the deterministic-replay story and must match the file).
-  std::vector<std::pair<std::string, SearchResult>> cache;
-  if (!GetU64(in, count)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string canonical;
-    SearchResult result;
-    if (!GetString(in, canonical) || !GetResult(in, result)) return false;
-    cache.emplace_back(std::move(canonical), std::move(result));
+  HistoryStore history;
+  if (kind != 'S') {
+    // Only the trailing section's answers are served; the nested one is
+    // empty in every snapshot a cover defense writes.
+    cache.clear();
+    const Vocabulary& vocabulary = snapshot.corpus().vocabulary();
+    uint64_t num_queries = 0;
+    if (!GetU64(in, num_queries) || num_queries > (1u << 26)) return false;
+    for (uint64_t i = 0; i < num_queries; ++i) {
+      std::string canonical;
+      if (!GetString(in, canonical)) return false;
+      uint64_t answer_size = 0;
+      if (!GetU64(in, answer_size) || answer_size > (1u << 20)) return false;
+      std::vector<DocId> answer(answer_size);
+      for (uint64_t d = 0; d < answer_size; ++d) {
+        uint64_t doc = 0;
+        if (!GetU64(in, doc)) return false;
+        answer[d] = static_cast<DocId>(doc);
+      }
+      history.Record(KeywordQuery::Parse(vocabulary, canonical),
+                     std::move(answer));
+    }
+    if (!GetCache(in, cache)) return false;
   }
 
+  // Everything parsed: commit.
   engine.returned_before_.ClearAll();
   for (DocId doc : returned) {
     engine.returned_before_.Set(snapshot.LocalOf(doc));
   }
+  if (kind != 'S') engine.history_.Replace(std::move(history));
   engine.answer_cache_.Clear();
   for (auto& [canonical, result] : cache) {
-    engine.answer_cache_.Insert(canonical, std::move(result));
-  }
-  return true;
-}
-
-// Quiesced by contract (see state_io.h): guarded state is read lock-free.
-bool SaveDefenseState(const AsArbiEngine& engine, std::ostream& out)
-    ASUP_NO_THREAD_SAFETY_ANALYSIS {
-  out.write(kArbiMagicV2, 4);
-  if (!SaveDefenseState(engine.simple_, out)) return false;
-  PutU64(engine.history_.NumQueries(), out);
-  for (size_t i = 0; i < engine.history_.NumQueries(); ++i) {
-    const auto& entry = engine.history_.QueryAt(i);
-    PutString(entry.query.canonical(), out);
-    PutU64(entry.answer.size(), out);
-    for (DocId doc : entry.answer) PutU64(doc, out);
-  }
-  const auto cache_entries = engine.answer_cache_.Snapshot();
-  PutU64(cache_entries.size(), out);
-  for (const auto& [canonical, result] : cache_entries) {
-    PutString(canonical, out);
-    PutResult(result, out);
-  }
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-// Quiesced by contract (see state_io.h): guarded state is written lock-free.
-bool LoadDefenseState(AsArbiEngine& engine, std::istream& in)
-    ASUP_NO_THREAD_SAFETY_ANALYSIS {
-  const int version = ReadVersion(in, 'A');
-  if (version == 0) return false;
-  // Stage the inner AS-SIMPLE section in a scratch engine: a snapshot whose
-  // history or cache section is corrupt must leave the real engine fully
-  // unchanged, including its inner AS-SIMPLE state. The scratch engine pins
-  // the *real* inner engine's snapshot so the fingerprints and the
-  // local-id mapping agree regardless of what epoch the base is on now.
-  AsSimpleEngine staged(*engine.base_, engine.config_.simple,
-                        engine.simple_.snapshot_);
-  if (!LoadDefenseState(staged, in)) return false;
-
-  const Vocabulary& vocabulary = engine.snapshot_->corpus().vocabulary();
-  HistoryStore history;
-  uint64_t num_queries = 0;
-  if (!GetU64(in, num_queries) || num_queries > (1u << 26)) return false;
-  for (uint64_t i = 0; i < num_queries; ++i) {
-    std::string canonical;
-    if (!GetString(in, canonical)) return false;
-    uint64_t answer_size = 0;
-    if (!GetU64(in, answer_size) || answer_size > (1u << 20)) return false;
-    std::vector<DocId> answer(answer_size);
-    for (uint64_t d = 0; d < answer_size; ++d) {
-      uint64_t doc = 0;
-      if (!GetU64(in, doc)) return false;
-      answer[d] = static_cast<DocId>(doc);
-    }
-    history.Record(KeywordQuery::Parse(vocabulary, canonical),
-                   std::move(answer));
-  }
-
-  std::vector<std::pair<std::string, SearchResult>> cache;
-  uint64_t cache_size = 0;
-  if (!GetU64(in, cache_size)) return false;
-  for (uint64_t i = 0; i < cache_size; ++i) {
-    std::string canonical;
-    SearchResult result;
-    if (!GetString(in, canonical) || !GetResult(in, result)) return false;
-    cache.emplace_back(std::move(canonical), std::move(result));
-  }
-
-  // Everything parsed: commit. The staged AS-SIMPLE state replays into the
-  // real inner engine through its own saver/loader (same fingerprint by
-  // construction, so this round trip cannot fail); committing it first
-  // keeps the engine consistent even if it somehow did.
-  std::stringstream simple_bytes;
-  if (!SaveDefenseState(staged, simple_bytes) ||
-      !LoadDefenseState(engine.simple_, simple_bytes)) {
-    return false;
-  }
-  engine.history_ = std::move(history);
-  engine.history_queries_.store(engine.history_.NumQueries(),
-                                std::memory_order_release);
-  engine.history_docs_seen_.store(engine.history_.NumDocumentsSeen(),
-                                  std::memory_order_release);
-  engine.answer_cache_.Clear();
-  for (auto& [canonical, result] : cache) {
-    engine.answer_cache_.Insert(canonical, std::move(result));
+    engine.answer_cache_.Insert(canonical, snapshot.epoch(),
+                                std::move(result));
   }
   return true;
 }

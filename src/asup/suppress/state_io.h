@@ -3,8 +3,7 @@
 
 #include <iosfwd>
 
-#include "asup/suppress/as_arbi.h"
-#include "asup/suppress/as_simple.h"
+#include "asup/suppress/defended_engine.h"
 #include "asup/util/annotated_mutex.h"
 
 namespace asup {
@@ -12,12 +11,20 @@ namespace asup {
 /// Defense-state persistence.
 ///
 /// The suppression engines are stateful *by design*: Θ_R, the answer
-/// caches, and AS-ARBI's history determine what future queries see. A
-/// deployment that restarts with empty state would re-run the activation
-/// transient — re-issued queries would get *different* answers, violating
-/// the deterministic-processing requirement of Section 2.1 and handing a
-/// watching adversary a before/after comparison. These helpers snapshot
-/// and restore the state so the engine resumes exactly where it stopped.
+/// cache, and the cover defenses' history determine what future queries
+/// see. A deployment that restarts with empty state would re-run the
+/// activation transient — re-issued queries would get *different* answers,
+/// violating the deterministic-processing requirement of Section 2.1 and
+/// handing a watching adversary a before/after comparison. These helpers
+/// snapshot and restore the state so the engine resumes exactly where it
+/// stopped.
+///
+/// Layouts, by defense:
+///   AS-SIMPLE   'ASS2' fingerprint Θ_R cache
+///   AS-ARBI     'ASA2' [AS-SIMPLE section with an empty cache] history
+///               cache
+///   AS-DECLINE  'ASD2' [same as AS-ARBI]
+/// A snapshot only loads into an engine running the same defense.
 ///
 /// The snapshot embeds γ, the corpus size, and the secret coin key; Load
 /// refuses a snapshot taken under a different configuration (the coins
@@ -33,26 +40,18 @@ namespace asup {
 /// describe.
 ///
 /// Because the quiesced contract replaces locking, these friends read the
-/// engines' guarded state without their mutexes and are opted out of the
+/// engine's guarded state without its mutexes and are opted out of the
 /// capability analysis (the attribute lives on the definitions in
 /// state_io.cc).
 
-/// Serializes the engine's Θ_R and answer cache. Returns false on I/O
-/// failure. Caller must be quiesced.
-bool SaveDefenseState(const AsSimpleEngine& engine, std::ostream& out);
-
-/// Restores a snapshot written by SaveDefenseState. Returns false on
-/// corruption or configuration mismatch; the engine is unchanged on
-/// failure. Caller must be quiesced.
-bool LoadDefenseState(AsSimpleEngine& engine, std::istream& in);
-
-/// Serializes the AS-ARBI state: the inner AS-SIMPLE state, the query
-/// history, and the answer cache. Caller must be quiesced.
-bool SaveDefenseState(const AsArbiEngine& engine, std::ostream& out);
-
-/// Restores a snapshot written by the AS-ARBI SaveDefenseState. Caller
+/// Serializes the engine's state. Returns false on I/O failure. Caller
 /// must be quiesced.
-bool LoadDefenseState(AsArbiEngine& engine, std::istream& in);
+bool SaveDefenseState(const DefendedEngine& engine, std::ostream& out);
+
+/// Restores a snapshot written by SaveDefenseState for the same defense.
+/// Returns false on corruption or configuration mismatch; the engine is
+/// unchanged on failure. Caller must be quiesced.
+bool LoadDefenseState(DefendedEngine& engine, std::istream& in);
 
 }  // namespace asup
 

@@ -15,9 +15,9 @@
 
 #include "asup/engine/parallel_service.h"
 #include "asup/engine/search_engine.h"
-#include "asup/engine/synchronized_service.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/text/corpus_delta.h"
 #include "asup/text/synthetic_corpus.h"
@@ -177,23 +177,23 @@ TEST(ConcurrencyStressTest, InvariantsHoldUnderFreeRunningThreads) {
   }
 }
 
-TEST(ConcurrencyStressTest, ConcurrentBatchesThroughParallelService) {
-  // Whole batches issued from several client threads at once, against one
-  // shared defended engine wrapped in ParallelSearchService.
+TEST(ConcurrencyStressTest, ConcurrentBatchesOnOneEngine) {
+  // Whole batches issued from several client threads at once, each fanned
+  // out by BatchExecutor, against one shared defended engine.
   Rig rig = MakeRig(600, 5);
   AsArbiEngine defended(*rig.engine, AsArbiConfig{});
   ThreadPool pool(4);
-  ParallelSearchService service(defended, pool);
+  const BatchExecutor executor(pool);
   const auto log = AolLog(rig, 120);
 
   std::vector<std::thread> clients;
   std::atomic<int> violations{0};
   for (int c = 0; c < 4; ++c) {
     clients.emplace_back([&] {
-      const auto results = service.SearchBatch(log);
+      const auto results = executor.ExecuteConcurrent(defended, log);
       if (results.size() != log.size()) violations.fetch_add(1);
       for (const auto& result : results) {
-        if (result.docs.size() > service.k()) violations.fetch_add(1);
+        if (result.docs.size() > defended.k()) violations.fetch_add(1);
       }
     });
   }
@@ -282,28 +282,69 @@ TEST(ConcurrencyStressTest, AnswerCacheSurvivesEpochMigrationStorm) {
   }
 }
 
-TEST(ConcurrencyStressTest, SynchronizedWrapperStillSerializesEverything) {
-  // The coarse wrapper remains the fallback for services without internal
-  // synchronization; hammer it to keep it honest.
-  Rig rig = MakeRig(500, 5);
-  AsSimpleEngine defended(*rig.engine, AsSimpleConfig{});
-  SynchronizedService synced(defended);
+TEST(ConcurrencyStressTest, DeclineIsThreadSafeAcrossEpochs) {
+  // AS-DECLINE runs on the same engine as the other defenses, so it is
+  // internally synchronized and epoch-aware: searchers race a publisher,
+  // and afterwards every answer still lies inside the final epoch's
+  // Sel(q) and re-issues are deterministic.
+  SyntheticCorpusConfig gen_config;
+  gen_config.vocabulary_size = 2000;
+  gen_config.num_topics = 12;
+  gen_config.words_per_topic = 150;
+  gen_config.seed = 31;
+  SyntheticCorpusGenerator generator(gen_config);
+  CorpusManager manager(generator.Generate(400));
+  constexpr size_t kTopK = 5;
+  PlainSearchEngine base(manager, kTopK);
+  AsDeclineConfig config;
+  config.cover_size = 3;
+  AsDeclineEngine defended(base, config);
 
-  std::vector<std::thread> threads;
+  AolLikeConfig log_config;
+  log_config.log_size = 80;
+  log_config.unique_queries = 25;
+  const auto log = [&] {
+    const auto snapshot = manager.Current();
+    return AolLikeWorkload(snapshot->corpus(), log_config).log();
+  }();
+
   std::atomic<int> violations{0};
-  const auto log = AolLog(rig, 40);
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 30; ++round) {
-        const auto& query = log[(t * 7 + round) % log.size()];
-        if (synced.Search(query).docs.size() > synced.k()) {
+  std::vector<std::thread> searchers;
+  for (int t = 0; t < 4; ++t) {
+    searchers.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        const auto& query = log[(round * (t + 3) + t) % log.size()];
+        if (defended.Search(query).docs.size() > kTopK) {
           violations.fetch_add(1);
         }
       }
     });
   }
-  for (auto& thread : threads) thread.join();
+  std::thread mutator([&] {
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      CorpusDelta delta;
+      const Corpus fresh = generator.Generate(40);
+      delta.add.assign(fresh.documents().begin(), fresh.documents().end());
+      const auto current = manager.Current();
+      delta.remove.push_back(current->corpus().documents()[epoch].id());
+      manager.Apply(delta);
+      std::this_thread::yield();
+    }
+  });
+  for (auto& searcher : searchers) searcher.join();
+  mutator.join();
   EXPECT_EQ(violations.load(), 0);
+
+  for (const auto& query : log) {
+    const SearchResult first = defended.Search(query);
+    std::vector<DocId> matches = base.MatchIds(query);
+    for (DocId doc : first.DocIds()) {
+      EXPECT_TRUE(std::binary_search(matches.begin(), matches.end(), doc))
+          << "stale doc in answer of '" << query.canonical() << "'";
+    }
+    EXPECT_EQ(defended.Search(query).DocIds(), first.DocIds());
+  }
+  EXPECT_EQ(defended.StateEpoch(), manager.CurrentEpoch());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST(ContractsDeathTest, AnswerCacheRejectsUnclaimedPublish) {
   EXPECT_DEATH(
       {
         AnswerCache cache;
-        cache.Publish("rogue query", SearchResult{});
+        cache.Publish("rogue query", 0, SearchResult{});
       },
       "ASUP_CHECK failed");
 }
@@ -54,8 +54,8 @@ TEST(ContractsDeathTest, AnswerCacheRejectsDoublePublish) {
         AnswerCache cache;
         SearchResult scratch;
         (void)cache.LookupOrClaim("q", &scratch);
-        cache.Publish("q", SearchResult{});
-        cache.Publish("q", SearchResult{});
+        cache.Publish("q", 0, SearchResult{});
+        cache.Publish("q", 0, SearchResult{});
       },
       "ASUP_CHECK failed");
 }
@@ -66,7 +66,7 @@ TEST(ContractsDeathTest, AnswerCacheRejectsAbandonOfPublishedAnswer) {
         AnswerCache cache;
         SearchResult scratch;
         (void)cache.LookupOrClaim("q", &scratch);
-        cache.Publish("q", SearchResult{});
+        cache.Publish("q", 0, SearchResult{});
         cache.Abandon("q");
       },
       "ASUP_CHECK failed");

@@ -1,7 +1,7 @@
-// Tests for the SearchService decorators: QueryCountingService,
-// TimingService and SynchronizedService — including concurrent callers,
-// since the counting/timing decorators now sit in front of thread-safe
-// engines inside the parallel batch subsystem.
+// Tests for the SearchService decorators: QueryCountingService and
+// TimingService — including concurrent callers, since the counting/timing
+// decorators sit in front of thread-safe engines inside the parallel batch
+// subsystem.
 
 #include <atomic>
 #include <thread>
@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "asup/engine/search_service.h"
-#include "asup/engine/synchronized_service.h"
+#include "asup/suppress/as_arbi.h"
 #include "asup/util/thread_pool.h"
 #include "test_util.h"
 
@@ -19,31 +19,6 @@ namespace {
 
 using testing_util::MakeRig;
 using testing_util::Rig;
-
-/// Minimal inner service with canned behavior and *unsynchronized* mutable
-/// state — a stand-in for the deliberately single-threaded services that
-/// SynchronizedService exists to protect.
-class FakeService : public SearchService {
- public:
-  explicit FakeService(size_t k = 5) : k_(k) {}
-
-  SearchResult Search(const KeywordQuery& query) override {
-    // Non-atomic read-modify-write: a data race unless the caller
-    // serializes. ThreadSanitizer flags any unprotected concurrent use.
-    ++calls_;
-    SearchResult result;
-    result.status = QueryStatus::kValid;
-    result.docs.push_back({static_cast<DocId>(query.terms().size()), 1.0});
-    return result;
-  }
-
-  size_t k() const override { return k_; }
-  uint64_t calls() const { return calls_; }
-
- private:
-  size_t k_;
-  uint64_t calls_ = 0;
-};
 
 TEST(QueryCountingServiceTest, CountsAndDelegates) {
   Rig rig = MakeRig(300, 5);
@@ -67,10 +42,9 @@ TEST(QueryCountingServiceTest, CountsAndDelegates) {
 }
 
 TEST(QueryCountingServiceTest, ConcurrentCallersLoseNoIncrements) {
-  FakeService fake;
-  SynchronizedService synced(fake);
-  QueryCountingService counting(synced);
   Rig rig = MakeRig(200, 5);
+  AsArbiEngine defended(*rig.engine, AsArbiConfig{});
+  QueryCountingService counting(defended);
   const auto query = rig.Q("sports");
 
   constexpr int kThreads = 8;
@@ -84,7 +58,8 @@ TEST(QueryCountingServiceTest, ConcurrentCallersLoseNoIncrements) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counting.queries_issued(),
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(fake.calls(), static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(defended.stats().queries_processed,
+            static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(TimingServiceTest, AccumulatesTimeAndQueries) {
@@ -126,43 +101,11 @@ TEST(TimingServiceTest, ConcurrentCallersAggregateWork) {
   EXPECT_GT(timing.MeanNanos(), 0.0);
 }
 
-TEST(SynchronizedServiceTest, DelegatesTransparently) {
-  Rig rig = MakeRig(300, 5);
-  SynchronizedService synced(*rig.engine);
-  EXPECT_EQ(synced.k(), rig.engine->k());
-  const auto query = rig.Q("sports game");
-  const SearchResult direct = rig.engine->Search(query);
-  const SearchResult wrapped = synced.Search(query);
-  EXPECT_EQ(wrapped.status, direct.status);
-  EXPECT_EQ(wrapped.DocIds(), direct.DocIds());
-}
-
-TEST(SynchronizedServiceTest, SerializesRacyInnerService) {
-  // FakeService's counter is a plain uint64_t; only the wrapper's mutex
-  // makes the concurrent hammering below well-defined. Run under
-  // -DASUP_SANITIZE=thread to have TSan certify the serialization.
-  FakeService fake;
-  SynchronizedService synced(fake);
-  Rig rig = MakeRig(200, 5);
-  const auto query = rig.Q("sports");
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) synced.Search(query);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(fake.calls(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(DecoratorStackTest, CountingOverTimingOverSynchronized) {
+TEST(DecoratorStackTest, CountingOverTimingOverDefended) {
   // The stack used by the overhead experiments, exercised end to end.
   Rig rig = MakeRig(300, 5);
-  SynchronizedService synced(*rig.engine);
-  TimingService timing(synced);
+  AsArbiEngine defended(*rig.engine, AsArbiConfig{});
+  TimingService timing(defended);
   QueryCountingService counting(timing);
 
   for (int i = 0; i < 10; ++i) counting.Search(rig.Q("sports game"));

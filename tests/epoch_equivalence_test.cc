@@ -17,6 +17,7 @@
 #include "asup/engine/sharded_service.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/state_io.h"
 #include "asup/text/corpus_delta.h"
@@ -239,66 +240,102 @@ TEST(EpochEquivalenceTest, MaintainedEngineEqualsFreshEngineOnFinalEpoch) {
   EXPECT_EQ(restored.NumActivatedDocs(), maintained.NumActivatedDocs());
 }
 
+struct CoverRun {
+  std::vector<SearchResult> answers;
+  std::string state_bytes;
+  DefendedStats stats;
+};
+
+/// Replays the schedule through a cover defense (AS-ARBI or AS-DECLINE)
+/// over a single index (shards = 0) or a sharded one, serially or in
+/// deterministic parallel batches.
+template <typename Config>
+CoverRun RunCoverDefense(const Config& config, size_t shards,
+                         bool deterministic) {
+  SyntheticCorpusGenerator generator(GenConfig());
+  CorpusManager::Options options;
+  options.num_shards = shards;
+  CorpusManager manager(generator.Generate(kInitialDocs), options);
+  std::unique_ptr<PlainSearchEngine> plain;
+  std::unique_ptr<ShardedSearchService> sharded;
+  MatchingEngine* base = nullptr;
+  if (shards >= 1) {
+    sharded = std::make_unique<ShardedSearchService>(manager, kK);
+    base = sharded.get();
+  } else {
+    plain = std::make_unique<PlainSearchEngine>(manager, kK);
+    base = plain.get();
+  }
+  DefendedEngine defended(*base, config);
+  ThreadPool pool(4);
+  BatchExecutor executor(pool);
+
+  const Vocabulary& vocabulary = manager.Current()->corpus().vocabulary();
+  std::vector<KeywordQuery> queries;
+  for (const std::string& text : QueryTexts()) {
+    queries.push_back(KeywordQuery::Parse(vocabulary, text));
+  }
+  CoverRun run;
+  const auto run_batch = [&] {
+    if (deterministic) {
+      auto results = executor.ExecuteDeterministic(defended, queries);
+      run.answers.insert(run.answers.end(), results.begin(), results.end());
+    } else {
+      for (const KeywordQuery& query : queries) {
+        run.answers.push_back(defended.Search(query));
+      }
+    }
+  };
+  run_batch();
+  for (const DeltaShape& shape : Schedule()) {
+    manager.Apply(MakeDelta(generator, manager.Current()->corpus(), shape));
+    run_batch();
+  }
+  std::stringstream state;
+  EXPECT_TRUE(SaveDefenseState(defended, state));
+  EXPECT_EQ(defended.StateEpoch(), manager.CurrentEpoch());
+  EXPECT_EQ(defended.stats().epoch_migrations, Schedule().size());
+  run.state_bytes = state.str();
+  run.stats = defended.stats();
+  return run;
+}
+
 TEST(EpochEquivalenceTest, AsArbiIdenticalAcrossConfigsAndVsFresh) {
   // The AS-ARBI pipeline (history recording, cover evaluation, virtual
   // answers) layered over epoch maintenance: serial-plain vs sharded(2) vs
-  // deterministic-parallel, plus the maintained-vs-fresh comparison on the
-  // final epoch.
-  const auto run = [](size_t shards, bool deterministic) {
-    SyntheticCorpusGenerator generator(GenConfig());
-    CorpusManager::Options options;
-    options.num_shards = shards;
-    CorpusManager manager(generator.Generate(kInitialDocs), options);
-    std::unique_ptr<PlainSearchEngine> plain;
-    std::unique_ptr<ShardedSearchService> sharded;
-    MatchingEngine* base = nullptr;
-    if (shards >= 1) {
-      sharded = std::make_unique<ShardedSearchService>(manager, kK);
-      base = sharded.get();
-    } else {
-      plain = std::make_unique<PlainSearchEngine>(manager, kK);
-      base = plain.get();
-    }
-    AsArbiEngine defended(*base, AsArbiConfig{});
-    ThreadPool pool(4);
-    BatchExecutor executor(pool);
-
-    const Vocabulary& vocabulary = manager.Current()->corpus().vocabulary();
-    std::vector<KeywordQuery> queries;
-    for (const std::string& text : QueryTexts()) {
-      queries.push_back(KeywordQuery::Parse(vocabulary, text));
-    }
-    std::vector<SearchResult> answers;
-    const auto run_batch = [&] {
-      if (deterministic) {
-        auto results = executor.ExecuteDeterministic(defended, queries);
-        answers.insert(answers.end(), results.begin(), results.end());
-      } else {
-        for (const KeywordQuery& query : queries) {
-          answers.push_back(defended.Search(query));
-        }
-      }
-    };
-    run_batch();
-    for (const DeltaShape& shape : Schedule()) {
-      manager.Apply(
-          MakeDelta(generator, manager.Current()->corpus(), shape));
-      run_batch();
-    }
-    std::stringstream state;
-    EXPECT_TRUE(SaveDefenseState(defended, state));
-    EXPECT_EQ(defended.StateEpoch(), manager.CurrentEpoch());
-    EXPECT_EQ(defended.stats().epoch_migrations, Schedule().size());
-    return std::make_pair(std::move(answers), state.str());
-  };
-
-  const auto reference = run(0, false);
+  // deterministic-parallel.
+  const CoverRun reference = RunCoverDefense(AsArbiConfig{}, 0, false);
   for (const auto& [shards, deterministic] :
        {std::pair<size_t, bool>{2, false}, {0, true}}) {
     SCOPED_TRACE(shards);
-    const auto outcome = run(shards, deterministic);
-    ExpectSameAnswers(reference.first, outcome.first);
-    EXPECT_EQ(reference.second, outcome.second);
+    const CoverRun outcome = RunCoverDefense(AsArbiConfig{}, shards,
+                                             deterministic);
+    ExpectSameAnswers(reference.answers, outcome.answers);
+    EXPECT_EQ(reference.state_bytes, outcome.state_bytes);
+  }
+}
+
+TEST(EpochEquivalenceTest, AsDeclineIdenticalAcrossConfigs) {
+  // AS-DECLINE on the same engine: epoch migration, history compaction and
+  // deterministic-batch prefetch come with it. Serial vs sharded 1/2/4 vs
+  // deterministic-parallel, answers and state bytes.
+  AsDeclineConfig config;
+  config.cover_size = 10;  // widen the trigger so refusals occur
+  config.cover_ratio = 0.3;
+  const CoverRun reference = RunCoverDefense(config, 0, false);
+  EXPECT_GT(reference.stats.declined, 0u);
+  EXPECT_GT(reference.stats.simple_answers, 0u);
+  for (const auto& [shards, deterministic] :
+       {std::pair<size_t, bool>{1, false},
+        {2, false},
+        {4, false},
+        {0, true}}) {
+    SCOPED_TRACE(shards);
+    const CoverRun outcome = RunCoverDefense(config, shards, deterministic);
+    ExpectSameAnswers(reference.answers, outcome.answers);
+    EXPECT_EQ(reference.stats.declined, outcome.stats.declined);
+    EXPECT_EQ(reference.stats.docs_hidden, outcome.stats.docs_hidden);
+    EXPECT_EQ(reference.state_bytes, outcome.state_bytes);
   }
 }
 

@@ -3,9 +3,10 @@
 // stages changed NOTHING observable. Three angles pin that down:
 //
 //  1. Oracle equivalence — test-local *monolithic* reimplementations of
-//     Algorithm 1 (AS-SIMPLE) and Algorithm 2 (AS-ARBI), written straight
-//     from the paper against public components only, must agree with the
-//     chain engines document-for-document and score-bit-for-score-bit.
+//     Algorithm 1 (AS-SIMPLE), Algorithm 2 (AS-ARBI) and the §5.2 decline
+//     defense (AS-DECLINE), written straight from the paper against public
+//     components only, must agree with the chain engines
+//     document-for-document and score-bit-for-score-bit.
 //  2. Cross-execution equivalence — one chain engine run serially, over
 //     sharded bases (1/2/4 shards) and through BatchExecutor's
 //     deterministic parallel mode must produce bitwise-identical answers,
@@ -38,6 +39,7 @@
 #include "asup/obs/event_log.h"
 #include "asup/obs/metrics.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/cover_finder.h"
 #include "asup/suppress/history_store.h"
@@ -247,6 +249,73 @@ class ArbiOracle {
   uint64_t simple_answers_ = 0;
 };
 
+// Section 5.2's decline defense: Algorithm 2's cover trigger, but a covered
+// query is refused (empty answer, kDeclined) instead of answered virtually.
+// Declined queries disclose nothing, so only fall-through answers enter the
+// history.
+class DeclineOracle {
+ public:
+  DeclineOracle(MatchingEngine& base, const AsDeclineConfig& config)
+      : base_(&base),
+        config_(config),
+        inner_(base, config.simple),
+        finder_(history_, config.cover_size, config.cover_ratio) {}
+
+  SearchResult Search(const KeywordQuery& query) {
+    auto cached = cache_.find(query.canonical());
+    if (cached != cache_.end()) return cached->second;
+    SearchResult result;
+    const size_t match_count = base_->MatchCount(query);
+    if (match_count == 0) {
+      result.status = QueryStatus::kUnderflow;
+      cache_.emplace(query.canonical(), result);
+      return result;
+    }
+    const double max_coverable =
+        static_cast<double>(config_.cover_size * base_->k());
+    if (config_.cover_ratio * static_cast<double>(match_count) <=
+            max_coverable &&
+        finder_.Find(base_->MatchIds(query)).found) {
+      ++declined_;
+      result.status = QueryStatus::kDeclined;
+      cache_.emplace(query.canonical(), result);
+      return result;
+    }
+    ++simple_answers_;
+    result = inner_.Search(query);
+    if (!result.docs.empty()) history_.Record(query, result.DocIds());
+    cache_.emplace(query.canonical(), result);
+    return result;
+  }
+
+  uint64_t declined() const { return declined_; }
+  uint64_t simple_answers() const { return simple_answers_; }
+  const HistoryStore& history() const { return history_; }
+  const SimpleOracle& inner() const { return inner_; }
+
+ private:
+  MatchingEngine* base_;
+  AsDeclineConfig config_;
+  SimpleOracle inner_;
+  HistoryStore history_;
+  CoverFinder finder_;
+  std::map<std::string, SearchResult> cache_;
+  uint64_t declined_ = 0;
+  uint64_t simple_answers_ = 0;
+};
+
+/// Workload(rig) plus a correlated "sports <w>" family: on a topical rig
+/// the family's later members are covered by the earlier answers.
+std::vector<KeywordQuery> CorrelatedWorkload(const Rig& rig) {
+  std::vector<KeywordQuery> queries;
+  for (const char* w : {"game", "team", "score", "league", "coach", "season",
+                        "player", "match", "win"}) {
+    queries.push_back(rig.Q(std::string("sports ") + w));
+  }
+  for (KeywordQuery& q : Workload(rig)) queries.push_back(std::move(q));
+  return queries;
+}
+
 TEST(PipelineOracleTest, AsSimpleChainMatchesMonolithicAlgorithm1) {
   Rig rig = MakeRig(520, 5);
   AsSimpleConfig config;
@@ -304,6 +373,39 @@ TEST(PipelineOracleTest, AsArbiChainMatchesMonolithicAlgorithm2) {
   EXPECT_GT(oracle.virtual_answers() + oracle.simple_answers(), 0u);
   EXPECT_EQ(chain.stats().virtual_answers, oracle.virtual_answers());
   EXPECT_EQ(chain.stats().simple_answers, oracle.simple_answers());
+  ASSERT_EQ(chain.history().NumQueries(), oracle.history().NumQueries());
+  for (size_t i = 0; i < oracle.history().NumQueries(); ++i) {
+    EXPECT_EQ(chain.history().QueryAt(i).answer,
+              oracle.history().QueryAt(i).answer)
+        << "history entry " << i;
+  }
+}
+
+TEST(PipelineOracleTest, AsDeclineChainMatchesMonolithicSection52) {
+  Rig rig = MakeTopicalRig(1050, 50);
+  AsDeclineConfig config;
+  config.simple.gamma = 2.0;
+  AsDeclineEngine chain(*rig.engine, config);
+  DeclineOracle oracle(*rig.engine, config);
+
+  const auto queries = CorrelatedWorkload(rig);
+  for (const KeywordQuery& q : queries) {
+    ExpectBitwiseEqual(chain.Search(q), oracle.Search(q),
+                       "q=\"" + q.canonical() + "\"");
+  }
+  for (const KeywordQuery& q : queries) {
+    ExpectBitwiseEqual(chain.Search(q), oracle.Search(q),
+                       "reissue q=\"" + q.canonical() + "\"");
+  }
+  // Both refused the same queries and disclosed the same answers.
+  EXPECT_GT(oracle.declined(), 0u);
+  EXPECT_GT(oracle.simple_answers(), 0u);
+  EXPECT_EQ(chain.stats().declined, oracle.declined());
+  EXPECT_EQ(chain.stats().simple_answers, oracle.simple_answers());
+  EXPECT_EQ(chain.simple_engine().stats().docs_hidden,
+            oracle.inner().docs_hidden());
+  EXPECT_EQ(chain.simple_engine().stats().docs_trimmed,
+            oracle.inner().docs_trimmed());
   ASSERT_EQ(chain.history().NumQueries(), oracle.history().NumQueries());
   for (size_t i = 0; i < oracle.history().NumQueries(); ++i) {
     EXPECT_EQ(chain.history().QueryAt(i).answer,
@@ -407,6 +509,52 @@ TEST(PipelineCrossExecutionTest, AsArbiIsBitwiseIdenticalAcrossExecutions) {
               serial.stats().virtual_answers);
     EXPECT_EQ(over_sharded.stats().simple_answers,
               serial.stats().simple_answers);
+    std::ostringstream state;
+    ASSERT_TRUE(SaveDefenseState(over_sharded, state));
+    EXPECT_EQ(state.str(), expected_state.str()) << "shards=" << shards;
+  }
+}
+
+TEST(PipelineCrossExecutionTest, AsDeclineIsBitwiseIdenticalAcrossExecutions) {
+  Rig rig = MakeTopicalRig(1050, 50);
+  const auto queries = CorrelatedWorkload(rig);
+  AsDeclineConfig config;
+  config.simple.gamma = 2.0;
+
+  AsDeclineEngine serial(*rig.engine, config);
+  std::vector<SearchResult> expected;
+  for (const KeywordQuery& q : queries) expected.push_back(serial.Search(q));
+  ASSERT_GT(serial.stats().declined, 0u);
+  std::ostringstream expected_state;
+  ASSERT_TRUE(SaveDefenseState(serial, expected_state));
+
+  {
+    ThreadPool pool(4);
+    AsDeclineEngine parallel(*rig.engine, config);
+    const std::vector<SearchResult> results =
+        BatchExecutor(pool).ExecuteDeterministic(parallel, queries);
+    ASSERT_EQ(results.size(), expected.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      ExpectBitwiseEqual(results[i], expected[i],
+                         "deterministic-parallel #" + std::to_string(i));
+    }
+    EXPECT_EQ(parallel.stats().declined, serial.stats().declined);
+    EXPECT_EQ(parallel.stats().simple_answers, serial.stats().simple_answers);
+    std::ostringstream state;
+    ASSERT_TRUE(SaveDefenseState(parallel, state));
+    EXPECT_EQ(state.str(), expected_state.str());
+  }
+
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    ShardedInvertedIndex index(*rig.corpus, shards);
+    ShardedSearchService base(index, rig.engine->k(), nullptr);
+    AsDeclineEngine over_sharded(base, config);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectBitwiseEqual(over_sharded.Search(queries[i]), expected[i],
+                         "shards=" + std::to_string(shards) + " #" +
+                             std::to_string(i));
+    }
+    EXPECT_EQ(over_sharded.stats().declined, serial.stats().declined);
     std::ostringstream state;
     ASSERT_TRUE(SaveDefenseState(over_sharded, state));
     EXPECT_EQ(state.str(), expected_state.str()) << "shards=" << shards;

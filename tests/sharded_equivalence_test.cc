@@ -8,6 +8,7 @@
 #include "asup/engine/sharded_service.h"
 #include "asup/index/sharded_index.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/state_io.h"
 #include "asup/util/thread_pool.h"
@@ -249,6 +250,39 @@ TEST_P(ShardedEngineEquivalenceTest, AsArbiOverShardedIsBitwiseEqual) {
               over_plain.history().NumQueries());
     // ...and the full serialized state (Θ_R + history + cache) is
     // byte-identical.
+    std::ostringstream plain_bytes, sharded_bytes;
+    ASSERT_TRUE(SaveDefenseState(over_plain, plain_bytes));
+    ASSERT_TRUE(SaveDefenseState(over_sharded, sharded_bytes));
+    EXPECT_EQ(plain_bytes.str(), sharded_bytes.str())
+        << "shards=" << shards;
+  }
+}
+
+TEST_P(ShardedEngineEquivalenceTest, AsDeclineOverShardedIsBitwiseEqual) {
+  const bool with_pool = GetParam();
+  Rig rig = MakeTopicalRig(600, 5);
+  std::unique_ptr<ThreadPool> pool =
+      with_pool ? std::make_unique<ThreadPool>(4) : nullptr;
+  const auto queries = Workload(rig);
+  for (size_t shards : kShardCounts) {
+    ShardedInvertedIndex index(*rig.corpus, shards);
+    ShardedSearchService sharded_base(index, rig.engine->k(), pool.get());
+
+    AsDeclineConfig config;
+    config.simple.gamma = 2.0;
+    AsDeclineEngine over_plain(*rig.engine, config);
+    AsDeclineEngine over_sharded(sharded_base, config);
+
+    for (const KeywordQuery& q : queries) {
+      ExpectBitwiseEqual(over_sharded.Search(q), over_plain.Search(q),
+                         "shards=" + std::to_string(shards) + " q=\"" +
+                             q.canonical() + "\"");
+      ExpectBitwiseEqual(over_sharded.Search(q), over_plain.Search(q),
+                         "reissue shards=" + std::to_string(shards));
+    }
+    EXPECT_EQ(over_sharded.stats().declined, over_plain.stats().declined);
+    EXPECT_EQ(over_sharded.stats().simple_answers,
+              over_plain.stats().simple_answers);
     std::ostringstream plain_bytes, sharded_bytes;
     ASSERT_TRUE(SaveDefenseState(over_plain, plain_bytes));
     ASSERT_TRUE(SaveDefenseState(over_sharded, sharded_bytes));

@@ -4,6 +4,7 @@
 // and AS-ARBI's history must be compacted to surviving documents — all
 // exactly as if the defense had been configured on the new corpus fresh.
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "asup/engine/search_engine.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/segment.h"
 #include "asup/text/corpus_delta.h"
@@ -229,6 +231,47 @@ TEST(EpochMigrationTest, ArbiHistoryCompactionDropsRemovedDocs) {
   // Migration is idempotent at the same epoch.
   engine.MigrateToCurrentEpoch();
   EXPECT_EQ(engine.stats().epoch_migrations, 1u);
+}
+
+TEST(EpochMigrationTest, DeclineReissueAfterDeleteAnswersFromNewEpoch) {
+  // A cached AS-DECLINE answer must not outlive its epoch: after a publish
+  // deletes one of the returned documents, the re-issued query is answered
+  // within the new epoch's Sel(q), and the history no longer holds the
+  // deleted document.
+  SyntheticCorpusConfig topical;
+  topical.vocabulary_size = 10000;
+  topical.num_topics = 96;
+  topical.words_per_topic = 300;
+  topical.seed = 99;
+  SyntheticCorpusGenerator generator(topical);
+  CorpusManager manager(generator.Generate(1050));
+  PlainSearchEngine base(manager, 50);
+  AsDeclineEngine engine(base, AsDeclineConfig{});
+
+  const Vocabulary& vocabulary = manager.Current()->corpus().vocabulary();
+  const KeywordQuery query = KeywordQuery::Parse(vocabulary, "sports game");
+  const SearchResult first = engine.Search(query);
+  ASSERT_FALSE(first.docs.empty());
+  ASSERT_EQ(engine.history().NumQueries(), 1u);
+  const DocId deleted = first.docs.front().doc;
+
+  CorpusDelta delta;
+  delta.remove.push_back(deleted);
+  manager.Apply(delta);
+
+  const SearchResult again = engine.Search(query);
+  const std::vector<DocId> sel = base.MatchIds(query);
+  for (const DocId doc : again.DocIds()) {
+    EXPECT_TRUE(std::binary_search(sel.begin(), sel.end(), doc))
+        << "document " << doc << " is not in Sel(q) of the new epoch";
+  }
+  EXPECT_FALSE(again.Returned(deleted));
+  EXPECT_EQ(engine.simple_engine().StateEpoch(), manager.CurrentEpoch());
+  for (size_t i = 0; i < engine.history().NumQueries(); ++i) {
+    const std::vector<DocId>& answer = engine.history().QueryAt(i).answer;
+    EXPECT_EQ(std::count(answer.begin(), answer.end(), deleted), 0)
+        << "history entry " << i << " kept the deleted document";
+  }
 }
 
 TEST(EpochMigrationTest, LazyMigrationHappensOnNextSearch) {

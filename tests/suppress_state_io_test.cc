@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "asup/suppress/as_decline.h"
+#include "asup/util/hash.h"
 #include "test_util.h"
 
 namespace asup {
@@ -18,6 +20,16 @@ std::vector<KeywordQuery> WarmupQueries(const Rig& rig) {
   std::vector<KeywordQuery> queries;
   for (const char* w : {"sports", "game", "sports game", "team",
                         "sports team", "score", "league", "game team"}) {
+    queries.push_back(rig.Q(w));
+  }
+  return queries;
+}
+
+std::vector<KeywordQuery> CorrelatedQueries(const Rig& rig) {
+  std::vector<KeywordQuery> queries;
+  for (const char* w : {"sports game", "sports team", "sports score",
+                        "sports league", "sports coach", "sports player",
+                        "sports match", "sports", "game"}) {
     queries.push_back(rig.Q(w));
   }
   return queries;
@@ -259,6 +271,112 @@ TEST(StateIoTest, SimpleRejectsUnknownDocumentId) {
   AsSimpleEngine restarted(*rig.engine, AsSimpleConfig{});
   EXPECT_FALSE(LoadDefenseState(restarted, corrupt));
   EXPECT_EQ(restarted.NumActivatedDocs(), 0u);
+}
+
+TEST(StateIoTest, DeclineRoundTripRestoresAnswersAndHistory) {
+  // AS-DECLINE persists through the same path as AS-ARBI, under its own
+  // magic: refusals replay as refusals, answers as answers.
+  Rig rig = MakeTopicalRig(1050, 50);
+  AsDeclineEngine original(*rig.engine, AsDeclineConfig{});
+  const auto queries = CorrelatedQueries(rig);
+  std::vector<SearchResult> answers;
+  for (const auto& q : queries) answers.push_back(original.Search(q));
+  ASSERT_GT(original.stats().declined, 0u);
+  ASSERT_GT(original.history().NumQueries(), 0u);
+
+  std::stringstream snapshot;
+  ASSERT_TRUE(SaveDefenseState(original, snapshot));
+  const std::string bytes = snapshot.str();
+  EXPECT_EQ(bytes.substr(0, 8), "ASD2ASS2");
+
+  AsDeclineEngine restarted(*rig.engine, AsDeclineConfig{});
+  std::stringstream in(bytes);
+  ASSERT_TRUE(LoadDefenseState(restarted, in));
+  EXPECT_EQ(restarted.history().NumQueries(),
+            original.history().NumQueries());
+  EXPECT_EQ(restarted.NumActivatedDocs(), original.NumActivatedDocs());
+  std::stringstream again;
+  ASSERT_TRUE(SaveDefenseState(restarted, again));
+  EXPECT_EQ(again.str(), bytes);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(SameAnswers(restarted.Search(queries[i]), answers[i])) << i;
+  }
+  EXPECT_EQ(restarted.stats().cache_hits, queries.size());
+}
+
+TEST(StateIoTest, CoverDefensesRejectEachOthersSnapshots) {
+  // Same layout, different history semantics (AS-DECLINE's history never
+  // holds a virtual answer's cover): the magic keeps them apart.
+  Rig rig = MakeTopicalRig(520, 50);
+  AsArbiEngine arbi(*rig.engine, AsArbiConfig{});
+  AsDeclineEngine decline(*rig.engine, AsDeclineConfig{});
+  arbi.Search(rig.Q("sports game"));
+  decline.Search(rig.Q("sports game"));
+  std::stringstream arbi_bytes, decline_bytes;
+  ASSERT_TRUE(SaveDefenseState(arbi, arbi_bytes));
+  ASSERT_TRUE(SaveDefenseState(decline, decline_bytes));
+
+  AsArbiEngine fresh_arbi(*rig.engine, AsArbiConfig{});
+  AsDeclineEngine fresh_decline(*rig.engine, AsDeclineConfig{});
+  AsSimpleEngine fresh_simple(*rig.engine, AsSimpleConfig{});
+  EXPECT_FALSE(LoadDefenseState(fresh_arbi, decline_bytes));
+  EXPECT_FALSE(LoadDefenseState(fresh_decline, arbi_bytes));
+  std::stringstream decline_again(decline_bytes.str());
+  EXPECT_FALSE(LoadDefenseState(fresh_simple, decline_again));
+  EXPECT_EQ(fresh_arbi.NumActivatedDocs(), 0u);
+  EXPECT_EQ(fresh_decline.NumActivatedDocs(), 0u);
+}
+
+TEST(StateIoTest, DeclineCorruptionLeavesEngineFullyUnchanged) {
+  Rig rig = MakeTopicalRig(520, 50);
+  AsDeclineEngine original(*rig.engine, AsDeclineConfig{});
+  original.Search(rig.Q("sports game"));
+  original.Search(rig.Q("sports team"));
+  std::stringstream snapshot;
+  ASSERT_TRUE(SaveDefenseState(original, snapshot));
+  const std::string bytes = snapshot.str();
+  ASSERT_GT(original.NumActivatedDocs(), 0u);
+
+  // A truncated tail (cache section) and a truncated middle (history
+  // section) both fail before anything is committed.
+  for (const size_t keep : {bytes.size() - 1, bytes.size() / 2}) {
+    std::stringstream corrupt(bytes.substr(0, keep));
+    AsDeclineEngine restarted(*rig.engine, AsDeclineConfig{});
+    EXPECT_FALSE(LoadDefenseState(restarted, corrupt)) << keep;
+    EXPECT_EQ(restarted.history().NumQueries(), 0u) << keep;
+    EXPECT_EQ(restarted.NumActivatedDocs(), 0u) << keep;
+  }
+}
+
+// Golden bytes: the serialized state after a fixed workload, pinned by
+// length and content digest. Any change to the layout, to the order entries
+// are written in, or to the answers and Θ_R the engine computes shows up
+// here.
+TEST(StateIoTest, SimpleStateBytesArePinned) {
+  Rig rig = MakeRig(520, 5);
+  AsSimpleEngine engine(*rig.engine, AsSimpleConfig{});
+  for (const auto& q : WarmupQueries(rig)) engine.Search(q);
+  std::stringstream snapshot;
+  ASSERT_TRUE(SaveDefenseState(engine, snapshot));
+  const std::string bytes = snapshot.str();
+  EXPECT_EQ(bytes.substr(0, 4), "ASS2");
+  EXPECT_EQ(bytes.size(), 1212u);
+  EXPECT_EQ(HashString(bytes), 0xfa9fbf14df7589b5ULL);
+}
+
+TEST(StateIoTest, ArbiStateBytesArePinned) {
+  // The AS-ARBI layout nests a complete AS-SIMPLE section, whose answer
+  // cache is always empty: AS-ARBI caches final answers itself.
+  Rig rig = MakeTopicalRig(1050, 50);
+  AsArbiEngine engine(*rig.engine, AsArbiConfig{});
+  for (const auto& q : CorrelatedQueries(rig)) engine.Search(q);
+  ASSERT_GT(engine.stats().virtual_answers, 0u);
+  std::stringstream snapshot;
+  ASSERT_TRUE(SaveDefenseState(engine, snapshot));
+  const std::string bytes = snapshot.str();
+  EXPECT_EQ(bytes.substr(0, 8), "ASA2ASS2");
+  EXPECT_EQ(bytes.size(), 7224u);
+  EXPECT_EQ(HashString(bytes), 0x74198a1b534199d2ULL);
 }
 
 }  // namespace
