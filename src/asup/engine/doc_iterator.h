@@ -13,8 +13,8 @@ namespace asup {
 
 /// The iterator algebra the match path executes: a QueryNode tree compiles
 /// into a tree of DocIterators (Term / And / Or / Not / Empty), and every
-/// engine entry point — PlainSearchEngine, ShardedSearchService's
-/// per-shard match, the pipeline match stage — drives the root. Iterators
+/// engine entry point — MatchingEngine's per-shard match, the pipeline
+/// match stage — drives the root. Iterators
 /// stream ascending local doc ids; SkipTo obeys the same forward-only
 /// contract as PostingList::Iterator::SkipTo (a target at or behind the
 /// current doc is a no-op), which is what lets And leapfrog its children

@@ -23,10 +23,9 @@ struct QueryPrefetch {
   std::vector<DocId> match_ids;
   bool has_match_ids = false;
 
-  /// The epoch this prefetch was computed against. Null from legacy/static
-  /// producers (treated as matching whatever epoch the commit runs in); a
-  /// commit in a *different* epoch discards the prefetch and recomputes the
-  /// match phase live against its own snapshot.
+  /// The epoch this prefetch was computed against; never null. A commit in
+  /// a *different* epoch discards the prefetch and recomputes the match
+  /// phase live against its own snapshot.
   SnapshotHandle snapshot;
 };
 

@@ -102,26 +102,13 @@ void UnderflowGuardProcessor::Process(QueryContext& context) const {
 }
 
 void RescoreProcessor::Process(QueryContext& context) const {
-  if (context.result.docs.empty()) return;
-  // The scoring context needs a single-index view of the corpus; every
-  // manager-built snapshot has one (borrowed sharded deployments rescore
-  // via their own service instead).
-  if (!context.snapshot->has_index()) return;
-  const InvertedIndex& index = context.snapshot->index();
-  const auto& terms = context.query->terms();
-  const ScoringContext scoring = MakeScoringContext(index, terms);
-  for (ScoredDoc& entry : context.result.docs) {
-    const uint32_t local = index.LocalOf(entry.doc);
-    const Document& doc = index.DocAt(local);
-    MatchedDoc match;
-    match.local_doc = local;
-    match.freqs.reserve(terms.size());
-    for (TermId term : terms) match.freqs.push_back(doc.FrequencyOf(term));
-    entry.score = scorer_->ScoreMatch(
-        scoring, static_cast<double>(doc.length()), match);
-  }
-  std::sort(context.result.docs.begin(), context.result.docs.end(),
-            RankBefore);
+  std::vector<ScoredDoc>& docs = context.result.docs;
+  if (docs.empty()) return;
+  std::vector<DocId> ids;
+  ids.reserve(docs.size());
+  for (const ScoredDoc& entry : docs) ids.push_back(entry.doc);
+  docs = MatchingEngine::ScoreDocs(*context.snapshot, context.query->terms(),
+                                   ids, *scorer_);
 }
 
 void FacetCountProcessor::Process(QueryContext& context) const {

@@ -4,13 +4,27 @@
 
 namespace asup {
 
-ScoringContext MakeScoringContext(const InvertedIndex& index,
-                                  std::span<const TermId> terms) {
+namespace {
+
+template <typename Index>
+ScoringContext ContextOf(const Index& index, std::span<const TermId> terms) {
   ScoringContext context;
   context.stats = &index.stats();
   context.dfs.reserve(terms.size());
   for (TermId term : terms) context.dfs.push_back(index.DocumentFrequency(term));
   return context;
+}
+
+}  // namespace
+
+ScoringContext MakeScoringContext(const InvertedIndex& index,
+                                  std::span<const TermId> terms) {
+  return ContextOf(index, terms);
+}
+
+ScoringContext MakeScoringContext(const ShardedInvertedIndex& index,
+                                  std::span<const TermId> terms) {
+  return ContextOf(index, terms);
 }
 
 double ScoringFunction::Score(const InvertedIndex& index,

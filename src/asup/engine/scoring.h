@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "asup/index/inverted_index.h"
+#include "asup/index/sharded_index.h"
 #include "asup/text/vocabulary.h"
 
 namespace asup {
@@ -24,10 +25,15 @@ struct ScoringContext {
   std::vector<size_t> dfs;
 };
 
-/// Builds the scoring context of `terms` against one index (the
-/// single-index engine's whole corpus). A sharded engine assembles the
-/// same struct from its global stats and summed per-shard frequencies.
+/// Builds the scoring context of `terms` against one index covering the
+/// whole corpus.
 ScoringContext MakeScoringContext(const InvertedIndex& index,
+                                  std::span<const TermId> terms);
+
+/// Same, for a sharded index: its corpus-wide stats and the per-term
+/// document frequencies summed over its shards — bitwise the context of a
+/// single index over the same corpus.
+ScoringContext MakeScoringContext(const ShardedInvertedIndex& index,
                                   std::span<const TermId> terms);
 
 /// The engine's ranking function.

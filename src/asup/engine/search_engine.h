@@ -1,6 +1,7 @@
 #ifndef ASUP_ENGINE_SEARCH_ENGINE_H_
 #define ASUP_ENGINE_SEARCH_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "asup/engine/search_service.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/index/inverted_index.h"
+#include "asup/index/sharded_index.h"
+#include "asup/util/thread_pool.h"
 
 namespace asup {
 
@@ -27,70 +30,106 @@ struct RankedMatches {
 
 /// The engine's deterministic ranking order: descending score, ties broken
 /// by ascending doc id. A strict total order over any answer set (document
-/// ids are unique), which is what makes top-k selection — and the sharded
-/// engine's scatter-gather merge — exact rather than merely equivalent.
+/// ids are unique), which is what makes top-k selection — and the N-shard
+/// merge — exact rather than merely equivalent.
 bool RankBefore(const ScoredDoc& a, const ScoredDoc& b);
 
-/// Privileged (server-side) engine interface the suppression layer builds
-/// on: deterministic conjunctive matching and ranking over *one logical
-/// corpus*, plus the dense document-id mapping Θ_R and state persistence
-/// require. Implemented by PlainSearchEngine (a single InvertedIndex) and
-/// ShardedSearchService (scatter-gather over a ShardedInvertedIndex); the
-/// AS-SIMPLE / AS-ARBI engines run unchanged on either, because both
-/// present identical answers, match counts, and local-id assignments.
+/// The enterprise search engine substrate: deterministic top-k keyword
+/// search over *one logical corpus*, plus the privileged (server-side)
+/// accessors — M(q), |Sel(q)|, the dense document-id mapping — that the
+/// suppression layer builds on and the public interface never exposes.
+/// Plays the role of Windows Search 4.0 in the paper's experiments: the
+/// public `Search` obeys the restrictive interface model of Section 2.1,
+/// and the defended engines are constructed *around* a MatchingEngine.
 ///
-/// Epoch model: the engine resolves a `CorpusSnapshot` per query. The
-/// `*In(snapshot, ...)` virtuals answer against an explicit pinned epoch —
-/// what the suppression engines use, so one query reads one consistent
-/// corpus even while a CorpusManager publishes successors concurrently.
-/// The snapshot-free names are non-virtual conveniences that pin the
-/// current epoch per call; they keep every pre-epoch caller (attacks,
-/// workloads, evaluation) source compatible.
+/// One engine over N >= 1 shards. Every query pins one epoch
+/// (CorpusSnapshot) and reads that epoch's shard list: its sharded view
+/// when it has one, its single index as shard 0 of 1 otherwise. One
+/// per-shard body — match, score against the corpus-wide ScoringContext,
+/// keep the local top-`limit` — serves every shard count. With one shard
+/// the engine sorts that shard's output and returns it; with N > 1 it fans
+/// the body out (on a ThreadPool when one is attached, serially otherwise)
+/// and merges. Because every shard scores against global statistics and
+/// RankBefore is a strict total order, the merged answer is bitwise the
+/// one-shard answer for any shard count, pool or scheduling (DESIGN.md
+/// §12); so are match counts and the local-id assignment, so suppression
+/// state is byte-identical across deployments.
+///
+/// Epoch model: the engine borrows one static index (a never-changing
+/// epoch-0 snapshot) or follows a CorpusManager's epoch chain. The
+/// `*In(snapshot, ...)` forms answer against an explicit pinned epoch —
+/// what the defended engines use, so one query reads one consistent corpus
+/// even while a CorpusManager publishes successors concurrently. The
+/// snapshot-free forms pin the current epoch per call.
 class MatchingEngine : public SearchService {
  public:
+  /// Over a static single `index` (borrowed; must outlive the engine).
+  /// `k` is the interface's result limit; `scorer` defaults to BM25.
+  MatchingEngine(const InvertedIndex& index, size_t k,
+                 std::unique_ptr<ScoringFunction> scorer = nullptr);
+
+  /// Over a static sharded `index` (borrowed). `pool` (borrowed, optional)
+  /// runs the per-shard bodies; null means a serial fan-out with identical
+  /// results.
+  MatchingEngine(const ShardedInvertedIndex& index, size_t k,
+                 ThreadPool* pool = nullptr,
+                 std::unique_ptr<ScoringFunction> scorer = nullptr);
+
+  /// Over `manager`'s epoch chain (borrowed): every query pins the epoch
+  /// current when it starts, and scatters over its shards when the manager
+  /// maintains a sharded view.
+  MatchingEngine(const CorpusManager& manager, size_t k,
+                 ThreadPool* pool = nullptr,
+                 std::unique_ptr<ScoringFunction> scorer = nullptr);
+
   /// Public interface: TopMatches(k) mapped to the restrictive
   /// underflow/valid/overflow answer model of Section 2.1. Pins one epoch
   /// for the whole query.
   SearchResult Search(const KeywordQuery& query) override;
 
-  /// Pins the engine's current epoch. Wait-free; holding the handle keeps
-  /// the epoch's corpus and indexes alive across concurrent publishes.
-  virtual SnapshotHandle PinSnapshot() const = 0;
+  size_t k() const override { return k_; }
 
-  /// Epoch number of the current snapshot (0 for static deployments).
-  /// The defended engines read it on every query, so implementations
-  /// answer it without pinning a handle.
-  virtual uint64_t CurrentEpoch() const { return PinSnapshot()->epoch(); }
+  /// Pins the engine's current epoch. Holding the handle keeps the epoch's
+  /// corpus and indexes alive across concurrent publishes.
+  SnapshotHandle PinSnapshot() const {
+    return manager_ != nullptr ? manager_->Current() : static_snapshot_;
+  }
+
+  /// Epoch number of the current snapshot, without pinning a handle (the
+  /// defended engines read it on every query). A static deployment is
+  /// epoch 0 forever.
+  uint64_t CurrentEpoch() const {
+    return manager_ != nullptr ? manager_->CurrentEpoch() : 0;
+  }
 
   // Boolean-tree entry points — the layer every match actually executes
-  // through (engine/doc_iterator.h). Implementations compile `node` into
-  // an iterator tree per index (per shard, for the sharded service).
-  // `score_terms` are the scoring inputs (per-term frequencies and
-  // document frequencies), in query-term order; node.CollectTerms() is the
-  // natural choice for free-form trees.
+  // through (engine/doc_iterator.h): `node` compiles into an iterator tree
+  // per shard. `score_terms` are the scoring inputs (per-term frequencies
+  // and document frequencies), in query-term order; node.CollectTerms() is
+  // the natural choice for free-form trees. `snapshot` must come from this
+  // engine's PinSnapshot (now or earlier).
 
   /// Server-side, against a pinned epoch: the top `limit` matches of a
-  /// boolean query tree and the total match count. `snapshot` must come
-  /// from this engine's PinSnapshot (now or earlier).
-  virtual RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
-                                         const QueryNode& node,
-                                         std::span<const TermId> score_terms,
-                                         size_t limit) const = 0;
+  /// boolean query tree and the total match count.
+  RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
+                                 const QueryNode& node,
+                                 std::span<const TermId> score_terms,
+                                 size_t limit) const;
 
   /// Server-side, against a pinned epoch: the tree's match count.
-  virtual size_t MatchCountNodeIn(const CorpusSnapshot& snapshot,
-                                  const QueryNode& node) const = 0;
+  size_t MatchCountNodeIn(const CorpusSnapshot& snapshot,
+                          const QueryNode& node) const;
 
   /// Server-side, against a pinned epoch: ids of all matching documents,
   /// ascending.
-  virtual std::vector<DocId> MatchIdsNodeIn(const CorpusSnapshot& snapshot,
-                                            const QueryNode& node) const = 0;
+  std::vector<DocId> MatchIdsNodeIn(const CorpusSnapshot& snapshot,
+                                    const QueryNode& node) const;
 
   // Conjunctive KeywordQuery entry points — what the suppression layer,
-  // attacks and workloads call. Non-virtual: each lowers the query to its
-  // And-of-terms tree (QueryNode::FromKeywords) and executes it through
-  // the node virtuals above, so the conjunctive path and the boolean path
-  // are one code path and stay bitwise identical.
+  // attacks and workloads call. Each lowers the query to its And-of-terms
+  // tree (QueryNode::FromKeywords) and executes it through the node entry
+  // points above, so the conjunctive path and the boolean path are one
+  // code path and stay bitwise identical.
 
   /// Server-side, against a pinned epoch: the top `limit` matches and the
   /// total match count — paper notation M(q) and |Sel(q)|.
@@ -107,13 +146,25 @@ class MatchingEngine : public SearchService {
                                 const KeywordQuery& query) const;
 
   /// Server-side, against a pinned epoch: scores the given documents (each
-  /// must match the query and be in the snapshot's corpus) and returns
-  /// them ranked exactly as Search would. Used by AS-ARBI's virtual query
-  /// processing to rank an answer composed from historic results.
-  virtual std::vector<ScoredDoc> RankDocsIn(const CorpusSnapshot& snapshot,
-                                            const KeywordQuery& query,
-                                            std::span<const DocId> docs)
-      const = 0;
+  /// must match the query and be in the snapshot's corpus) with the
+  /// engine's scorer and returns them ranked exactly as Search would. Used
+  /// by AS-ARBI's virtual query processing to rank an answer composed from
+  /// historic results.
+  std::vector<ScoredDoc> RankDocsIn(const CorpusSnapshot& snapshot,
+                                    const KeywordQuery& query,
+                                    std::span<const DocId> docs) const {
+    return ScoreDocs(snapshot, query.terms(), docs, *scorer_);
+  }
+
+  /// The one routine that scores given documents: each document's length
+  /// and per-term frequencies come from `snapshot.corpus()`, the global
+  /// statistics from the snapshot's index, so no shard routing is needed.
+  /// Returns `docs` scored by `scorer` in RankBefore order. RankDocsIn and
+  /// the pipeline's RescoreProcessor both rank through it.
+  static std::vector<ScoredDoc> ScoreDocs(const CorpusSnapshot& snapshot,
+                                          std::span<const TermId> terms,
+                                          std::span<const DocId> docs,
+                                          const ScoringFunction& scorer);
 
   // Snapshot-free conveniences: each call pins the current epoch. Across
   // two calls the epoch may change; epoch-sensitive callers (the
@@ -143,66 +194,43 @@ class MatchingEngine : public SearchService {
   /// epoch is superseded *and* every pinned handle dropped for managed
   /// ones. Epoch-sensitive callers should hold a PinSnapshot() handle.
   const Corpus& corpus() const { return PinSnapshot()->corpus(); }
-};
-
-/// The undefended enterprise search engine substrate: deterministic
-/// conjunctive keyword search with top-k truncation over an inverted index.
-///
-/// Plays the role of Windows Search 4.0 in the paper's experiments. The
-/// public `Search` obeys the restrictive interface model of Section 2.1;
-/// the suppression engines are constructed *around* a MatchingEngine and
-/// use its privileged `TopMatches` / `MatchIds` accessors.
-class PlainSearchEngine : public MatchingEngine {
- public:
-  /// Builds an engine over a static `index` (borrowed; must outlive the
-  /// engine) as a never-changing epoch-0 snapshot. `scorer` defaults to
-  /// BM25. `k` is the interface's result limit.
-  PlainSearchEngine(const InvertedIndex& index, size_t k,
-                    std::unique_ptr<ScoringFunction> scorer = nullptr);
-
-  /// Builds an engine over `manager`'s epoch chain (borrowed; must outlive
-  /// the engine): every query pins the epoch current when it starts.
-  PlainSearchEngine(const CorpusManager& manager, size_t k,
-                    std::unique_ptr<ScoringFunction> scorer = nullptr);
-
-  size_t k() const override { return k_; }
-
-  SnapshotHandle PinSnapshot() const override {
-    return manager_ != nullptr ? manager_->Current() : static_snapshot_;
-  }
-  /// A static deployment is epoch 0 forever.
-  uint64_t CurrentEpoch() const override {
-    return manager_ != nullptr ? manager_->CurrentEpoch() : 0;
-  }
-
-  RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
-                                 const QueryNode& node,
-                                 std::span<const TermId> score_terms,
-                                 size_t limit) const override;
-
-  size_t MatchCountNodeIn(const CorpusSnapshot& snapshot,
-                          const QueryNode& node) const override;
-
-  std::vector<DocId> MatchIdsNodeIn(const CorpusSnapshot& snapshot,
-                                    const QueryNode& node) const override;
-
-  std::vector<ScoredDoc> RankDocsIn(const CorpusSnapshot& snapshot,
-                                    const KeywordQuery& query,
-                                    std::span<const DocId> docs)
-      const override;
-
-  /// The current epoch's single index (lifetime caveat as corpus()).
-  const InvertedIndex& index() const { return PinSnapshot()->index(); }
-  const ScoringFunction& scorer() const { return *scorer_; }
 
  private:
+  MatchingEngine(const CorpusManager* manager, SnapshotHandle static_snapshot,
+                 size_t k, ThreadPool* pool,
+                 std::unique_ptr<ScoringFunction> scorer);
+
+  /// The per-shard body: matches `node` on `shard`, scores every match
+  /// against the global `context`, and keeps the local top-`limit`
+  /// (unsorted) plus the shard's match count.
+  RankedMatches ShardTopMatches(const InvertedIndex& shard,
+                                const QueryNode& node,
+                                std::span<const TermId> score_terms,
+                                const ScoringContext& context,
+                                size_t limit) const;
+
+  /// Runs `body(s)` for every shard s of an N > 1 fan-out — on the pool
+  /// when attached (the calling thread participates), serially otherwise.
+  /// `body` must only write to shard-`s`-owned slots.
+  void ForEachShard(size_t shards,
+                    const std::function<void(size_t)>& body) const;
+
   /// Exactly one of these is set: a managed epoch chain or a pinned
   /// epoch-0 snapshot borrowing the caller's static index.
-  const CorpusManager* manager_ = nullptr;
+  const CorpusManager* manager_;
   SnapshotHandle static_snapshot_;
   size_t k_;
+  ThreadPool* pool_;
   std::unique_ptr<ScoringFunction> scorer_;
 };
+
+/// The single-index deployment: a MatchingEngine whose epochs have one
+/// shard.
+using PlainSearchEngine = MatchingEngine;
+
+/// The scatter-gather deployment: a MatchingEngine over a sharded index or
+/// a sharded CorpusManager.
+using ShardedSearchService = MatchingEngine;
 
 }  // namespace asup
 

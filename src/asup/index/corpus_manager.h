@@ -44,9 +44,9 @@ namespace asup {
 /// the handle.
 class CorpusSnapshot {
  public:
-  /// Wraps a caller-owned static index as an epoch-0 snapshot (the legacy
-  /// construction path of PlainSearchEngine). Borrowed; `index` must
-  /// outlive every handle.
+  /// Wraps a caller-owned static index as an epoch-0 snapshot (a
+  /// MatchingEngine over a static index). Borrowed; `index` must outlive
+  /// every handle.
   static std::shared_ptr<const CorpusSnapshot> Borrow(
       const InvertedIndex& index);
 
@@ -136,7 +136,8 @@ class CorpusManager {
  public:
   struct Options {
     /// >= 1: additionally maintain a ShardedInvertedIndex with this many
-    /// shards on every snapshot (for ShardedSearchService deployments).
+    /// shards on every snapshot; a MatchingEngine over the manager then
+    /// scatters over them.
     /// The sharded view is rebuilt per epoch — range repartitioning moves
     /// documents across shards, so there is no incremental win to merge —
     /// while the single index is merged incrementally.

@@ -193,10 +193,10 @@ SearchResult DefendedEngine::SearchStateLocked(const KeywordQuery& query,
   // pinned is stale: its M(q) and match ids reflect the wrong index.
   // Discard it and recompute live — correctness first, the parallel win
   // second.
+  ASUP_CHECK(prefetch == nullptr || prefetch->snapshot != nullptr);
   const bool prefetch_usable =
       prefetch != nullptr &&
-      (prefetch->snapshot == nullptr ||
-       prefetch->snapshot->epoch() == snapshot_->epoch());
+      prefetch->snapshot->epoch() == snapshot_->epoch();
 
   QueryContext context;
   context.query = &query;

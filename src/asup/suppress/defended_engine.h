@@ -81,9 +81,8 @@ struct DefendedStats {
 };
 
 /// The defended search engine: one of the paper's run-time defenses over a
-/// MatchingEngine — the single-index PlainSearchEngine or the sharded
-/// scatter-gather ShardedSearchService; suppression always runs post-merge
-/// on the one logical corpus the base presents.
+/// MatchingEngine with any number of shards; suppression always runs
+/// post-merge on the one logical corpus the base presents.
 ///
 /// All three defenses share one state: Θ_R (the documents returned so
 /// far), the segment's μ/γ, the keyed coin, the deterministic answer

@@ -12,8 +12,8 @@ namespace asup {
 
 namespace {
 
-// Format v2 adds the epoch content fingerprint after the config
-// fingerprint; the body is unchanged. v1 snapshots still load.
+// Format v2: the config fingerprint is followed by the epoch content
+// fingerprint. v1 files (no content fingerprint) are refused.
 constexpr char kSimpleMagicV2[4] = {'A', 'S', 'S', '2'};
 
 using CacheEntries = std::vector<std::pair<std::string, SearchResult>>;
@@ -101,11 +101,11 @@ bool GetResult(std::istream& in, SearchResult& result) {
   return true;
 }
 
-// Configuration fingerprint (v1 and v2): a snapshot only replays under the
-// same corpus size, γ, and coin key. v2 appends the epoch *content*
-// fingerprint — document ids, lengths and term frequencies, deliberately
-// not the epoch counter, so incrementally maintained and freshly built
-// engines over the same corpus interoperate byte-for-byte.
+// Fingerprint: a snapshot only replays under the same corpus size, γ, and
+// coin key, over the same epoch *content* — document ids, lengths and term
+// frequencies, deliberately not the epoch counter, so incrementally
+// maintained and freshly built engines over the same corpus interoperate
+// byte-for-byte.
 void PutFingerprint(const DefendedEngine& engine,
                     const CorpusSnapshot& snapshot, std::ostream& out) {
   PutU64(engine.segment().corpus_size(), out);
@@ -115,8 +115,7 @@ void PutFingerprint(const DefendedEngine& engine,
 }
 
 bool CheckFingerprint(const DefendedEngine& engine,
-                      const CorpusSnapshot& snapshot, std::istream& in,
-                      bool check_content) {
+                      const CorpusSnapshot& snapshot, std::istream& in) {
   uint64_t corpus_size = 0;
   double gamma = 0.0;
   uint64_t key = 0;
@@ -128,21 +127,18 @@ bool CheckFingerprint(const DefendedEngine& engine,
       key != engine.config().simple.secret_key) {
     return false;
   }
-  if (!check_content) return true;  // v1 snapshot: size check only
   uint64_t content = 0;
   if (!GetU64(in, content)) return false;
   return content == snapshot.Fingerprint();
 }
 
-// Reads a 4-byte magic with defense letter `kind` and reports the format
-// version, or 0 on mismatch.
-int ReadVersion(std::istream& in, char kind) {
+// Reads a 4-byte magic and reports whether it is the v2 magic of defense
+// letter `kind`.
+bool ReadMagic(std::istream& in, char kind) {
   char magic[4];
   in.read(magic, 4);
-  if (!in || magic[0] != 'A' || magic[1] != 'S' || magic[2] != kind) return 0;
-  if (magic[3] == '1') return 1;
-  if (magic[3] == '2') return 2;
-  return 0;
+  return in && magic[0] == 'A' && magic[1] == 'S' && magic[2] == kind &&
+         magic[3] == '2';
 }
 
 void PutCache(const CacheEntries& entries, std::ostream& out) {
@@ -213,14 +209,10 @@ bool SaveDefenseState(const DefendedEngine& engine, std::ostream& out)
 bool LoadDefenseState(DefendedEngine& engine, std::istream& in)
     ASUP_NO_THREAD_SAFETY_ANALYSIS {
   const char kind = KindOf(engine.defense());
-  if (kind != 'S' && ReadVersion(in, kind) == 0) return false;
-  const int version = ReadVersion(in, 'S');
-  if (version == 0) return false;
+  if (kind != 'S' && !ReadMagic(in, kind)) return false;
+  if (!ReadMagic(in, 'S')) return false;
   const CorpusSnapshot& snapshot = *engine.snapshot_;
-  if (!CheckFingerprint(engine, snapshot, in,
-                        /*check_content=*/version >= 2)) {
-    return false;
-  }
+  if (!CheckFingerprint(engine, snapshot, in)) return false;
 
   // Parse (and validate) everything before touching the engine, so a
   // corrupt snapshot leaves it unchanged.

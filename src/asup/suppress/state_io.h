@@ -34,8 +34,8 @@ namespace asup {
 /// epoch the state was pinned to — the hash covers document ids, lengths
 /// and term frequencies, never the epoch number, so a state saved from an
 /// incrementally maintained engine restores into a freshly built engine
-/// over the same corpus (and vice versa). Load still accepts v1 snapshots
-/// (no content check beyond the corpus size). Save and Load must run
+/// over the same corpus (and vice versa). Load refuses v1 snapshots, which
+/// carried no content fingerprint. Save and Load must run
 /// quiesced, with the engine's state epoch equal to the corpus the bytes
 /// describe.
 ///

@@ -111,19 +111,9 @@ RunOutcome RunAsSimple(Exec exec) {
   options.num_shards = ShardsOf(exec);
   CorpusManager manager(generator.Generate(kInitialDocs), options);
 
-  // The sharded service requires a sharded manager; construct only the
-  // service this configuration actually uses.
-  std::unique_ptr<PlainSearchEngine> plain;
-  std::unique_ptr<ShardedSearchService> sharded;
-  MatchingEngine* base = nullptr;
-  if (options.num_shards >= 1) {
-    sharded = std::make_unique<ShardedSearchService>(manager, kK);
-    base = sharded.get();
-  } else {
-    plain = std::make_unique<PlainSearchEngine>(manager, kK);
-    base = plain.get();
-  }
-  AsSimpleEngine defended(*base, AsSimpleConfig{});
+  // One engine either way: it scatters when the manager keeps shards.
+  MatchingEngine base(manager, kK);
+  AsSimpleEngine defended(base, AsSimpleConfig{});
   ThreadPool pool(4);
   BatchExecutor executor(pool);
 
@@ -256,17 +246,8 @@ CoverRun RunCoverDefense(const Config& config, size_t shards,
   CorpusManager::Options options;
   options.num_shards = shards;
   CorpusManager manager(generator.Generate(kInitialDocs), options);
-  std::unique_ptr<PlainSearchEngine> plain;
-  std::unique_ptr<ShardedSearchService> sharded;
-  MatchingEngine* base = nullptr;
-  if (shards >= 1) {
-    sharded = std::make_unique<ShardedSearchService>(manager, kK);
-    base = sharded.get();
-  } else {
-    plain = std::make_unique<PlainSearchEngine>(manager, kK);
-    base = plain.get();
-  }
-  DefendedEngine defended(*base, config);
+  MatchingEngine base(manager, kK);
+  DefendedEngine defended(base, config);
   ThreadPool pool(4);
   BatchExecutor executor(pool);
 

@@ -204,9 +204,11 @@ TEST(CorpusManagerTest, ShardedViewFollowsEveryEpoch) {
   EXPECT_EQ(snapshot->sharded().NumDocuments(), snapshot->NumDocuments());
   EXPECT_EQ(snapshot->sharded().NumShards(), 3u);
 
-  // The scatter-gather service over the manager answers bitwise like the
-  // single-index engine over the same epoch.
-  PlainSearchEngine plain(manager, 5);
+  // The engine over the manager scatters over the epoch's three shards and
+  // answers bitwise like an engine over a fresh single index of the same
+  // corpus.
+  const InvertedIndex fresh(snapshot->corpus());
+  PlainSearchEngine plain(fresh, 5);
   ShardedSearchService sharded(manager, 5);
   const KeywordQuery query =
       KeywordQuery::Parse(snapshot->corpus().vocabulary(), "sports game");

@@ -16,6 +16,14 @@
 namespace asup {
 namespace {
 
+// "q<i>", built by appending: GCC 12 reports a false -Wrestrict on the
+// inlined operator+(const char*, std::string&&) at -O3.
+std::string QueryText(size_t i) {
+  std::string text = "q";
+  text += std::to_string(i);
+  return text;
+}
+
 class TraceSinkScope {
  public:
   explicit TraceSinkScope(obs::TraceRingSink& sink) {
@@ -64,7 +72,7 @@ TEST(QueryTrace, GoldenJsonlLine) {
 TEST(TraceRingSink, KeepsMostRecentTracesOldestFirst) {
   obs::TraceRingSink sink(4);
   for (int i = 0; i < 10; ++i) {
-    obs::QueryTrace trace("q" + std::to_string(i));
+    obs::QueryTrace trace(QueryText(static_cast<size_t>(i)));
     trace.set_sequence(static_cast<uint64_t>(i));
     sink.Publish(std::move(trace));
   }
@@ -72,7 +80,7 @@ TEST(TraceRingSink, KeepsMostRecentTracesOldestFirst) {
   const std::vector<obs::QueryTrace> kept = sink.Snapshot();
   ASSERT_EQ(kept.size(), 4u);
   for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].query(), "q" + std::to_string(6 + i));
+    EXPECT_EQ(kept[i].query(), QueryText(6 + i));
     EXPECT_EQ(kept[i].sequence(), 6 + i);
   }
 }
@@ -82,7 +90,7 @@ TEST(TraceRingSink, CountsOverwrittenTracesAndExportsThemAsMetric) {
   obs::TraceRingSink sink(4);
   EXPECT_EQ(sink.dropped(), 0u);
   for (int i = 0; i < 10; ++i) {
-    sink.Publish(obs::QueryTrace("q" + std::to_string(i)));
+    sink.Publish(obs::QueryTrace(QueryText(static_cast<size_t>(i))));
   }
   // 10 published into 4 slots: 6 evicted, visible locally and fleet-wide.
   EXPECT_EQ(sink.total_published(), 10u);
@@ -95,7 +103,7 @@ TEST(TraceRingSink, CountsOverwrittenTracesAndExportsThemAsMetric) {
 TEST(TraceRingSink, WriteJsonlEmitsOneLinePerTrace) {
   obs::TraceRingSink sink(8);
   for (int i = 0; i < 3; ++i) {
-    sink.Publish(obs::QueryTrace("q" + std::to_string(i)));
+    sink.Publish(obs::QueryTrace(QueryText(static_cast<size_t>(i))));
   }
   std::ostringstream out;
   sink.WriteJsonl(out);

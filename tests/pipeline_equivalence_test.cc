@@ -693,6 +693,35 @@ TEST(PipelineStagesTest, RescoreProcessorRanksWithAlternateScorer) {
   }
 }
 
+TEST(PipelineStagesTest, RescoreProcessorRescoresOverStaticShardedBase) {
+  // A static sharded deployment pins snapshots without a single-index
+  // view. The rescore stage must apply its scorer there too — and, since
+  // it reads the corpus and the global statistics, answer bitwise like the
+  // same chain over the single index.
+  Rig rig = MakeRig(400, 10);
+  ShardedInvertedIndex index(*rig.corpus, 4);
+  ShardedSearchService sharded(index, rig.engine->k());
+  ProcessorChain chain;
+  chain.Add(std::make_unique<MatchProcessor>())
+      .Add(std::make_unique<InterfaceStatusProcessor>())
+      .Add(std::make_unique<RescoreProcessor>(std::make_unique<TfIdfScorer>()));
+  const auto run = [&](MatchingEngine& base, const KeywordQuery& q) {
+    const SnapshotHandle snapshot = base.PinSnapshot();
+    QueryContext context;
+    context.query = &q;
+    context.base = &base;
+    context.snapshot = snapshot.get();
+    context.k = base.k();
+    context.match_limit = base.k();
+    chain.Run(context);
+    return context.result;
+  };
+  for (const KeywordQuery& q : Workload(rig)) {
+    ExpectBitwiseEqual(run(sharded, q), run(*rig.engine, q),
+                       "q=\"" + q.canonical() + "\"");
+  }
+}
+
 TEST(PipelineStagesTest, FacetCountProcessorHistogramsTheAnswer) {
   Rig rig = MakeRig(400, 10);
   constexpr uint64_t kBucket = 16;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "asup/engine/sharded_service.h"
+#include "asup/index/corpus_manager.h"
 #include "asup/index/sharded_index.h"
 #include "asup/suppress/as_arbi.h"
 #include "asup/suppress/as_decline.h"
@@ -313,6 +314,66 @@ TEST_P(ShardedEngineEquivalenceTest, StateRoundTripsAcrossEngineKinds) {
   EXPECT_EQ(restored.NumActivatedDocs(), over_sharded.NumActivatedDocs());
   ExpectBitwiseEqual(restored.Search(rig.Q("sports")),
                      over_sharded.Search(rig.Q("sports")), "restored");
+}
+
+TEST(OneShardEngineTest, OneShardDeploymentsAnswerAsTheSingleIndex) {
+  // The single index is the 1-shard case of the one engine. Both 1-shard
+  // deployments — a CorpusManager maintaining a 1-shard view and a static
+  // 1-shard ShardedInvertedIndex — take the engine's one-shard path and
+  // must answer, rank and evolve defense state exactly like the engine
+  // over the single index.
+  Rig rig = MakeTopicalRig(600, 5);
+  CorpusManager::Options options;
+  options.num_shards = 1;
+  CorpusManager manager(
+      Corpus(rig.corpus->vocabulary_ptr(), rig.corpus->documents()), options);
+  ASSERT_EQ(manager.Current()->sharded().NumShards(), 1u);
+  ShardedInvertedIndex static_index(*rig.corpus, 1);
+  ShardedSearchService over_manager(manager, rig.engine->k());
+  ShardedSearchService over_static(static_index, rig.engine->k());
+
+  const auto queries = Workload(rig);
+  for (MatchingEngine* engine : {&over_manager, &over_static}) {
+    const std::string deployment =
+        engine == &over_manager ? "manager" : "static";
+    for (const KeywordQuery& q : queries) {
+      const std::string label = deployment + " q=\"" + q.canonical() + "\"";
+      ExpectBitwiseEqual(engine->Search(q), rig.engine->Search(q), label);
+      const std::vector<DocId> ids = rig.engine->MatchIds(q);
+      EXPECT_EQ(engine->MatchIds(q), ids) << label;
+      const auto ranked = engine->RankDocs(q, ids);
+      const auto single_ranked = rig.engine->RankDocs(q, ids);
+      ASSERT_EQ(ranked.size(), single_ranked.size()) << label;
+      for (size_t i = 0; i < ranked.size(); ++i) {
+        EXPECT_EQ(ranked[i].doc, single_ranked[i].doc) << label;
+        EXPECT_EQ(ranked[i].score, single_ranked[i].score) << label;
+      }
+    }
+
+    AsSimpleConfig simple_config;
+    simple_config.gamma = 2.0;
+    AsSimpleEngine simple_single(*rig.engine, simple_config);
+    AsSimpleEngine simple_one_shard(*engine, simple_config);
+    AsArbiConfig arbi_config;
+    arbi_config.simple.gamma = 2.0;
+    AsArbiEngine arbi_single(*rig.engine, arbi_config);
+    AsArbiEngine arbi_one_shard(*engine, arbi_config);
+    for (const KeywordQuery& q : queries) {
+      ExpectBitwiseEqual(simple_one_shard.Search(q), simple_single.Search(q),
+                         deployment + " AS-SIMPLE");
+      ExpectBitwiseEqual(arbi_one_shard.Search(q), arbi_single.Search(q),
+                         deployment + " AS-ARBI");
+    }
+    std::ostringstream single_bytes, one_shard_bytes;
+    ASSERT_TRUE(SaveDefenseState(simple_single, single_bytes));
+    ASSERT_TRUE(SaveDefenseState(simple_one_shard, one_shard_bytes));
+    EXPECT_EQ(one_shard_bytes.str(), single_bytes.str()) << deployment;
+    std::ostringstream arbi_single_bytes, arbi_one_shard_bytes;
+    ASSERT_TRUE(SaveDefenseState(arbi_single, arbi_single_bytes));
+    ASSERT_TRUE(SaveDefenseState(arbi_one_shard, arbi_one_shard_bytes));
+    EXPECT_EQ(arbi_one_shard_bytes.str(), arbi_single_bytes.str())
+        << deployment;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndPooled, ShardedEngineEquivalenceTest,

@@ -36,8 +36,9 @@ TEST(VocabularyTest, WordOfRoundTrips) {
 TEST(VocabularyTest, IdsAreDense) {
   Vocabulary vocab;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(vocab.AddWord("w" + std::to_string(i)),
-              static_cast<TermId>(i));
+    std::string word = "w";
+    word += std::to_string(i);
+    EXPECT_EQ(vocab.AddWord(word), static_cast<TermId>(i));
   }
 }
 
