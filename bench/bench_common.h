@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asup/attack/correlated.h"
@@ -14,7 +15,9 @@
 #include "asup/eval/utility.h"
 #include "asup/suppress/as_arbi.h"
 #include "asup/suppress/as_simple.h"
+#include "asup/text/corpus.h"
 #include "asup/util/csv.h"
+#include "asup/util/random.h"
 #include "asup/workload/aol_like.h"
 
 namespace asup {
@@ -331,6 +334,42 @@ inline void RunCorrelatedFigure(size_t corpus_size, const char* title) {
                   static_cast<double>(counts_arbi[i]) / fresh_count});
   }
   PrintFigure(title, table);
+}
+
+/// A corpus whose document frequencies climb in powers of two, for timing
+/// the sharded engine on both sides of its fan-out rule
+/// (kFanOutMinPostings): term "df<d>" occurs in every (num_docs / d)-th
+/// document, for each power of two d from `min_df` to `num_docs` (itself a
+/// power of two), 1–3 times. Every document also carries 2–9 of 64 filler
+/// words, so lengths, term frequencies and hence scores vary.
+inline Corpus DfLadderCorpus(size_t num_docs, size_t min_df) {
+  auto vocab = std::make_shared<Vocabulary>();
+  std::vector<std::pair<size_t, TermId>> ladder;  // (stride, term)
+  for (size_t df = min_df; df <= num_docs; df *= 2) {
+    ladder.emplace_back(num_docs / df,
+                        vocab->AddWord("df" + std::to_string(df)));
+  }
+  std::vector<TermId> fillers;
+  for (int w = 0; w < 64; ++w) {
+    fillers.push_back(vocab->AddWord("filler" + std::to_string(w)));
+  }
+  Rng rng(17);
+  std::vector<Document> docs;
+  docs.reserve(num_docs);
+  std::vector<TermId> tokens;
+  for (size_t id = 0; id < num_docs; ++id) {
+    tokens.clear();
+    for (const auto& [stride, term] : ladder) {
+      if (id % stride != 0) continue;
+      tokens.insert(tokens.end(), 1 + rng.UniformBelow(3), term);
+    }
+    const size_t extra = 2 + rng.UniformBelow(8);
+    for (size_t i = 0; i < extra; ++i) {
+      tokens.push_back(fillers[rng.UniformBelow(fillers.size())]);
+    }
+    docs.emplace_back(static_cast<DocId>(id), tokens);
+  }
+  return Corpus(std::move(vocab), std::move(docs));
 }
 
 }  // namespace bench

@@ -3,7 +3,9 @@
 // decoding, the AS-ARBI trigger machinery, and the parallel batch
 // executor's throughput scaling over 1..8 workers.
 
+#include <memory>
 #include <span>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +25,7 @@
 #include "asup/text/synthetic_corpus.h"
 #include "asup/util/thread_pool.h"
 #include "asup/workload/aol_like.h"
+#include "bench_common.h"
 
 namespace asup {
 namespace {
@@ -248,29 +251,49 @@ void BM_ShardedSearchSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedSearchSerial)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The same scatter phase fanned out on a pool of range(0) workers, one
-// worker per shard. Compare to BM_ShardedSearchSerial at the same shard
-// count for the match-throughput scaling of the scatter-gather engine.
-void BM_ShardedSearchPooled(benchmark::State& state) {
-  MicroEnv& env = Env();
+// The sharded engine on inputs past its fan-out rule: a 2^17-document
+// DfLadderCorpus split into range(0) shards, answering top-5 for the
+// single-term query of document frequency range(1). The inline row has no
+// pool, so every shard runs on the calling thread; the pooled row attaches
+// range(0) − 1 workers (the caller is the last participant, as in
+// perfbench) and so scatters exactly when the df reaches
+// kFanOutMinPostings — below it, both rows run the same inline path. The
+// 4-shard df sweep is the crossover measurement in EXPERIMENTS.md; the
+// shard sweep at df 65,536 is the scatter's scaling.
+const Corpus& LadderCorpus() {
+  static const Corpus* corpus =
+      new Corpus(bench::DfLadderCorpus(size_t{1} << 17, 4096));
+  return *corpus;
+}
+
+void ShardedLadderSearch(benchmark::State& state, bool pooled) {
+  const Corpus& corpus = LadderCorpus();
   const auto shards = static_cast<size_t>(state.range(0));
-  ShardedInvertedIndex index(*env.corpus, shards);
-  ThreadPool pool(shards);
-  ShardedSearchService engine(index, env.engine->k(), &pool);
-  const auto& log = env.workload->log();
-  size_t i = 0;
+  const ShardedInvertedIndex index(corpus, shards);
+  std::unique_ptr<ThreadPool> pool;
+  if (pooled && shards > 1) pool = std::make_unique<ThreadPool>(shards - 1);
+  const ShardedSearchService engine(index, 5, pool.get());
+  const KeywordQuery query = KeywordQuery::Parse(
+      corpus.vocabulary(), "df" + std::to_string(state.range(1)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Search(log[i]).docs.size());
-    i = (i + 1) % log.size();
+    benchmark::DoNotOptimize(engine.TopMatches(query, 5).docs.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ShardedSearchPooled)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+
+void BM_ShardedSearchInline(benchmark::State& state) {
+  ShardedLadderSearch(state, /*pooled=*/false);
+}
+void BM_ShardedSearchPooled(benchmark::State& state) {
+  ShardedLadderSearch(state, /*pooled=*/true);
+}
+// {shards, df}: the df sweep at 4 shards, then the shard sweep.
+void LadderArgs(benchmark::internal::Benchmark* bench) {
+  for (int64_t df = 4096; df <= (1 << 17); df *= 2) bench->Args({4, df});
+  for (int64_t shards : {1, 2, 8}) bench->Args({shards, 65536});
+}
+BENCHMARK(BM_ShardedSearchInline)->Apply(LadderArgs)->UseRealTime();
+BENCHMARK(BM_ShardedSearchPooled)->Apply(LadderArgs)->UseRealTime();
 
 // Sharded index construction: N per-shard indexes over disjoint ranges.
 void BM_ShardedIndexBuild(benchmark::State& state) {

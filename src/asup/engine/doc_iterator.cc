@@ -352,67 +352,53 @@ CompiledQuery CompileQuery(const InvertedIndex& index, const QueryNode& node,
 // ---------------------------------------------------------------------------
 // Execution
 
-std::vector<MatchedDoc> ExecuteMatch(const InvertedIndex& index,
-                                     const QueryNode& node,
-                                     std::span<const TermId> freq_terms,
-                                     OrStrategy strategy) {
-  CompiledQuery query = CompileQuery(index, node, strategy);
-  std::vector<MatchedDoc> result;
+namespace detail {
 
-  // Per-position aligned slot, or npos for the document-lookup fallback.
-  constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
-  std::vector<size_t> position_to_slot(freq_terms.size(), kNoSlot);
+MatchFreqReader::MatchFreqReader(const InvertedIndex& index,
+                                 const CompiledQuery& query,
+                                 std::span<const TermId> freq_terms)
+    : index_(index),
+      terms_(freq_terms),
+      aligned_(freq_terms.size(), nullptr),
+      freqs_(freq_terms.size(), 0) {
   for (size_t pos = 0; pos < freq_terms.size(); ++pos) {
-    for (size_t slot = 0; slot < query.aligned_terms.size(); ++slot) {
-      if (query.aligned_terms[slot]->term() == freq_terms[pos]) {
-        position_to_slot[pos] = slot;
+    for (const TermIterator* term : query.aligned_terms) {
+      if (term->term() == freq_terms[pos]) {
+        aligned_[pos] = term;
         break;
       }
     }
   }
+}
 
-  for (DocIterator& root = *query.root; root.Valid(); root.Next()) {
-    MatchedDoc match;
-    match.local_doc = root.Doc();
-    match.freqs.reserve(freq_terms.size());
-    const Document* doc = nullptr;  // resolved lazily, once per match
-    for (size_t pos = 0; pos < freq_terms.size(); ++pos) {
-      if (position_to_slot[pos] != kNoSlot) {
-        // Aligned conjunction: the iterator sits on this very document.
-        match.freqs.push_back(
-            query.aligned_terms[position_to_slot[pos]]->Freq());
-      } else {
-        if (doc == nullptr) doc = &index.DocAt(match.local_doc);
-        match.freqs.push_back(doc->FrequencyOf(freq_terms[pos]));
-      }
-    }
-    result.push_back(std::move(match));
-  }
+}  // namespace detail
+
+MatchList ExecuteMatch(const InvertedIndex& index, const QueryNode& node,
+                       std::span<const TermId> freq_terms,
+                       OrStrategy strategy) {
+  MatchList result;
+  result.width = freq_terms.size();
+  ForEachMatch(
+      index, node, freq_terms,
+      [&](uint32_t local, std::span<const uint32_t> freqs) {
+        result.local_docs.push_back(local);
+        result.freqs.insert(result.freqs.end(), freqs.begin(), freqs.end());
+      },
+      strategy);
   return result;
 }
 
 size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,
                     OrStrategy strategy) {
-  CompiledQuery query = CompileQuery(index, node, strategy);
-  if (query.aligned_terms.size() == 1) {
-    // A single-term query's count is the term's document frequency — the
-    // posting list's size, no iteration needed.
-    return query.aligned_terms.front()->CostEstimate();
+  // A single term's count is its document frequency: no iterator (whose
+  // constructor decodes the first block) is needed.
+  if (node.kind() == QueryNode::Kind::kTerm) {
+    return index.Postings(node.term()).size();
   }
+  CompiledQuery query = CompileQuery(index, node, strategy);
   size_t count = 0;
   for (DocIterator& root = *query.root; root.Valid(); root.Next()) ++count;
   return count;
-}
-
-std::vector<uint32_t> ExecuteLocals(const InvertedIndex& index,
-                                    const QueryNode& node,
-                                    OrStrategy strategy) {
-  CompiledQuery query = CompileQuery(index, node, strategy);
-  std::vector<uint32_t> locals;
-  for (DocIterator& root = *query.root; root.Valid(); root.Next()) {
-    locals.push_back(root.Doc());
-  }
-  return locals;
 }
 
 }  // namespace asup

@@ -206,23 +206,87 @@ struct CompiledQuery {
 CompiledQuery CompileQuery(const InvertedIndex& index, const QueryNode& node,
                            OrStrategy strategy = OrStrategy::kAdaptive);
 
+namespace detail {
+
+/// ForEachMatch's frequency reader: at each match of a compiled query,
+/// reads the frequencies of the scoring terms (`freq_terms`, in query-term
+/// order) into one per-query buffer. Conjunctions read frequencies from
+/// the aligned iterators; other shapes fall back to the document's term
+/// map.
+class MatchFreqReader {
+ public:
+  MatchFreqReader(const InvertedIndex& index, const CompiledQuery& query,
+                  std::span<const TermId> freq_terms);
+
+  /// The frequencies at `local_doc`, which must be the compiled root's
+  /// current document. The span is overwritten by the next call.
+  std::span<const uint32_t> Read(uint32_t local_doc) {
+    const Document* doc = nullptr;  // resolved lazily, once per match
+    for (size_t pos = 0; pos < freqs_.size(); ++pos) {
+      if (aligned_[pos] != nullptr) {
+        // Aligned conjunction: the iterator sits on this very document.
+        freqs_[pos] = aligned_[pos]->Freq();
+      } else {
+        if (doc == nullptr) doc = &index_.DocAt(local_doc);
+        freqs_[pos] = doc->FrequencyOf(terms_[pos]);
+      }
+    }
+    return freqs_;
+  }
+
+ private:
+  const InvertedIndex& index_;
+  std::span<const TermId> terms_;
+  std::vector<const TermIterator*> aligned_;  // per position; null = lookup
+  std::vector<uint32_t> freqs_;
+};
+
+}  // namespace detail
+
+/// The one match walk: compiles `node` against `index` and calls
+/// `visit(local_doc, freqs)` for every match, ascending, where `freqs`
+/// holds the match's frequency of each of `freq_terms` (valid during the
+/// call only). Nothing is materialized per match.
+template <typename Visit>
+void ForEachMatch(const InvertedIndex& index, const QueryNode& node,
+                  std::span<const TermId> freq_terms, Visit&& visit,
+                  OrStrategy strategy = OrStrategy::kAdaptive) {
+  const CompiledQuery query = CompileQuery(index, node, strategy);
+  detail::MatchFreqReader reader(index, query, freq_terms);
+  for (DocIterator& root = *query.root; root.Valid(); root.Next()) {
+    const uint32_t local = root.Doc();
+    visit(local, reader.Read(local));
+  }
+}
+
+/// Every match of a query: local ids ascending, and each match's
+/// frequencies stored contiguously in one flat buffer.
+struct MatchList {
+  std::vector<uint32_t> local_docs;
+  /// `width` frequencies per match, in query-term order.
+  std::vector<uint32_t> freqs;
+  size_t width = 0;
+
+  size_t size() const { return local_docs.size(); }
+  bool empty() const { return local_docs.empty(); }
+
+  /// Frequencies of match `i`.
+  std::span<const uint32_t> FreqsOf(size_t i) const {
+    return {freqs.data() + i * width, width};
+  }
+};
+
 /// Executes `node` and returns every matching document ascending, with
 /// per-position frequencies for `freq_terms` (the scoring inputs, in
-/// query-term order). Conjunctions read frequencies from the aligned
-/// iterators; other shapes fall back to the document's term map.
-std::vector<MatchedDoc> ExecuteMatch(
-    const InvertedIndex& index, const QueryNode& node,
-    std::span<const TermId> freq_terms,
-    OrStrategy strategy = OrStrategy::kAdaptive);
+/// query-term order). The same walk as the engine's streamed top-k.
+MatchList ExecuteMatch(const InvertedIndex& index, const QueryNode& node,
+                       std::span<const TermId> freq_terms,
+                       OrStrategy strategy = OrStrategy::kAdaptive);
 
-/// Number of matching documents, without materializing anything.
+/// Number of matching documents, without materializing anything; a bare
+/// term's count is its posting list's size.
 size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,
                     OrStrategy strategy = OrStrategy::kAdaptive);
-
-/// Local ids of every matching document, ascending.
-std::vector<uint32_t> ExecuteLocals(
-    const InvertedIndex& index, const QueryNode& node,
-    OrStrategy strategy = OrStrategy::kAdaptive);
 
 }  // namespace asup
 

@@ -11,6 +11,8 @@
 
 namespace asup {
 
+class ScoringFunction;
+
 /// Corpus-wide inputs to scoring for one query, decoupled from any single
 /// InvertedIndex so a sharded engine can score shard-local matches against
 /// *global* statistics. Scores are bitwise identical to a single-index
@@ -21,20 +23,26 @@ struct ScoringContext {
   const IndexStats* stats = nullptr;
 
   /// Document frequency of each query term across the logical corpus, in
-  /// query-term order (parallel to MatchedDoc::freqs).
+  /// query-term order (parallel to a match's frequencies).
   std::vector<size_t> dfs;
+
+  /// The scorer's per-term query constant (BM25's idf, TF-IDF's log(n/df)),
+  /// parallel to `dfs`: computed once per query, not once per match.
+  std::vector<double> weights;
 };
 
-/// Builds the scoring context of `terms` against one index covering the
-/// whole corpus.
+/// Builds the scoring context of `terms` for `scorer` against one index
+/// covering the whole corpus.
 ScoringContext MakeScoringContext(const InvertedIndex& index,
-                                  std::span<const TermId> terms);
+                                  std::span<const TermId> terms,
+                                  const ScoringFunction& scorer);
 
 /// Same, for a sharded index: its corpus-wide stats and the per-term
 /// document frequencies summed over its shards — bitwise the context of a
 /// single index over the same corpus.
 ScoringContext MakeScoringContext(const ShardedInvertedIndex& index,
-                                  std::span<const TermId> terms);
+                                  std::span<const TermId> terms,
+                                  const ScoringFunction& scorer);
 
 /// The engine's ranking function.
 ///
@@ -46,17 +54,24 @@ class ScoringFunction {
  public:
   virtual ~ScoringFunction() = default;
 
+  /// The per-query constant of one query term with corpus-wide document
+  /// frequency `df` — what MakeScoringContext stores in
+  /// ScoringContext::weights.
+  virtual double TermWeight(const IndexStats& stats, size_t df) const = 0;
+
   /// Relevance of a matched document to the query. Higher is better.
-  /// `doc_length` is the matched document's token count; `match.freqs`
-  /// holds its per-query-term frequencies.
+  /// `context` must come from MakeScoringContext with this scorer;
+  /// `doc_length` is the matched document's token count; `freqs` holds its
+  /// per-query-term frequencies.
   virtual double ScoreMatch(const ScoringContext& context, double doc_length,
-                            const MatchedDoc& match) const = 0;
+                            std::span<const uint32_t> freqs) const = 0;
 
   /// Single-index convenience: builds the context from `index` and scores
-  /// one match. Callers scoring many matches of one query should build the
-  /// context once with MakeScoringContext and call ScoreMatch directly.
+  /// the document at `local_doc` whose frequencies of `terms` are `freqs`.
+  /// Callers scoring many matches of one query should build the context
+  /// once with MakeScoringContext and call ScoreMatch directly.
   double Score(const InvertedIndex& index, std::span<const TermId> terms,
-               const MatchedDoc& match) const;
+               uint32_t local_doc, std::span<const uint32_t> freqs) const;
 };
 
 /// Okapi BM25 — the default ranking function of the substrate engine.
@@ -64,8 +79,10 @@ class Bm25Scorer : public ScoringFunction {
  public:
   explicit Bm25Scorer(double k1 = 1.2, double b = 0.75) : k1_(k1), b_(b) {}
 
+  /// The term's idf.
+  double TermWeight(const IndexStats& stats, size_t df) const override;
   double ScoreMatch(const ScoringContext& context, double doc_length,
-                    const MatchedDoc& match) const override;
+                    std::span<const uint32_t> freqs) const override;
 
  private:
   double k1_;
@@ -77,8 +94,10 @@ class Bm25Scorer : public ScoringFunction {
 /// scoring function.
 class TfIdfScorer : public ScoringFunction {
  public:
+  /// log(n / df); 0 for an unindexed term, which ScoreMatch skips.
+  double TermWeight(const IndexStats& stats, size_t df) const override;
   double ScoreMatch(const ScoringContext& context, double doc_length,
-                    const MatchedDoc& match) const override;
+                    std::span<const uint32_t> freqs) const override;
 };
 
 /// Returns the library's default scorer (BM25 with standard parameters).

@@ -34,6 +34,20 @@ struct RankedMatches {
 /// merge — exact rather than merely equivalent.
 bool RankBefore(const ScoredDoc& a, const ScoredDoc& b);
 
+/// Inline-or-scatter threshold: a query over a pooled N-shard epoch fans
+/// out to the pool only when its estimated postings — the smallest global
+/// document frequency of an And, the summed one of an Or, the id range of
+/// a Not — reach this many; below it the shards run inline on the calling
+/// thread. Either side returns bitwise the same answer. A judgment, not a
+/// derived crossover: bench_micro_engine BM_ShardedSearch{Inline,Pooled}
+/// (EXPERIMENTS.md) can time the engine's scatter only at and above the
+/// constant. There, on a shared 4-vCPU host, a 4-shard scatter at 32,768
+/// postings ran 1.7x faster than inline in one sweep and 10–12% slower in
+/// two others, one with every vCPU busy; at 65,536 and above, from 1.9x
+/// faster to 13% slower. The gain depends on whether the host runs the
+/// pool's threads at once. Whether a smaller value would pay is unmeasured.
+inline constexpr size_t kFanOutMinPostings = 32768;
+
 /// The enterprise search engine substrate: deterministic top-k keyword
 /// search over *one logical corpus*, plus the privileged (server-side)
 /// accessors — M(q), |Sel(q)|, the dense document-id mapping — that the
@@ -45,15 +59,17 @@ bool RankBefore(const ScoredDoc& a, const ScoredDoc& b);
 /// One engine over N >= 1 shards. Every query pins one epoch
 /// (CorpusSnapshot) and reads that epoch's shard list: its sharded view
 /// when it has one, its single index as shard 0 of 1 otherwise. One
-/// per-shard body — match, score against the corpus-wide ScoringContext,
-/// keep the local top-`limit` — serves every shard count. With one shard
-/// the engine sorts that shard's output and returns it; with N > 1 it fans
-/// the body out (on a ThreadPool when one is attached, serially otherwise)
-/// and merges. Because every shard scores against global statistics and
-/// RankBefore is a strict total order, the merged answer is bitwise the
-/// one-shard answer for any shard count, pool or scheduling (DESIGN.md
-/// §12); so are match counts and the local-id assignment, so suppression
-/// state is byte-identical across deployments.
+/// per-shard body — walk the iterator tree once, score each match against
+/// the corpus-wide ScoringContext as it passes, keep a bounded top-`limit`
+/// heap — serves every shard count. Shards run inline on the calling
+/// thread, streaming into one heap, unless a ThreadPool is attached and
+/// the query's estimated postings reach kFanOutMinPostings; then the body
+/// fans out to the pool, one heap per shard, and the heaps merge. Because
+/// every shard scores against global statistics and RankBefore is a strict
+/// total order, the answer is bitwise the one-shard answer for any shard
+/// count, pool or scheduling (DESIGN.md §12); so are match counts and the
+/// local-id assignment, so suppression state is byte-identical across
+/// deployments.
 ///
 /// Epoch model: the engine borrows one static index (a never-changing
 /// epoch-0 snapshot) or follows a CorpusManager's epoch chain. The
@@ -69,8 +85,8 @@ class MatchingEngine : public SearchService {
                  std::unique_ptr<ScoringFunction> scorer = nullptr);
 
   /// Over a static sharded `index` (borrowed). `pool` (borrowed, optional)
-  /// runs the per-shard bodies; null means a serial fan-out with identical
-  /// results.
+  /// runs the per-shard bodies of queries worth fanning out; null runs
+  /// every shard inline, with identical results.
   MatchingEngine(const ShardedInvertedIndex& index, size_t k,
                  ThreadPool* pool = nullptr,
                  std::unique_ptr<ScoringFunction> scorer = nullptr);
@@ -200,18 +216,9 @@ class MatchingEngine : public SearchService {
                  size_t k, ThreadPool* pool,
                  std::unique_ptr<ScoringFunction> scorer);
 
-  /// The per-shard body: matches `node` on `shard`, scores every match
-  /// against the global `context`, and keeps the local top-`limit`
-  /// (unsorted) plus the shard's match count.
-  RankedMatches ShardTopMatches(const InvertedIndex& shard,
-                                const QueryNode& node,
-                                std::span<const TermId> score_terms,
-                                const ScoringContext& context,
-                                size_t limit) const;
-
-  /// Runs `body(s)` for every shard s of an N > 1 fan-out — on the pool
-  /// when attached (the calling thread participates), serially otherwise.
-  /// `body` must only write to shard-`s`-owned slots.
+  /// Runs `body(s)` for every shard s of a fan-out on the pool (the calling
+  /// thread participates). `body` must only write to shard-`s`-owned
+  /// slots.
   void ForEachShard(size_t shards,
                     const std::function<void(size_t)>& body) const;
 

@@ -19,8 +19,14 @@ bool SearchResult::Returned(DocId doc) const {
 }
 
 SearchResult ClientTaggingService::Search(const KeywordQuery& query) {
+  // A query already carrying this client's tag passes through uncopied.
+  if (query.client_id() == client_id_) return SearchTagged(query);
   KeywordQuery tagged = query;
   tagged.set_client_id(client_id_);
+  return SearchTagged(tagged);
+}
+
+SearchResult ClientTaggingService::SearchTagged(const KeywordQuery& tagged) {
   ASUP_EVENT_QUERY_ISSUED(client_id_, tagged.hash(), tagged.terms());
   SearchResult result = base_->Search(tagged);
   ASUP_EVENT_EMIT(kAnswerServed, client_id_, tagged.hash(),

@@ -123,6 +123,9 @@ class ClientTaggingService : public SearchService {
   uint64_t client_id() const { return client_id_; }
 
  private:
+  /// Frames and forwards `tagged`, whose client id is already client_id_.
+  SearchResult SearchTagged(const KeywordQuery& tagged);
+
   SearchService* base_;
   uint64_t client_id_;
 };

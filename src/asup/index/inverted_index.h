@@ -9,15 +9,6 @@
 
 namespace asup {
 
-/// A document matched by a conjunctive query, with per-query-term
-/// frequencies (inputs to the scoring function).
-struct MatchedDoc {
-  /// Dense per-index id; ascending local id == ascending universe DocId.
-  uint32_t local_doc;
-  /// Frequency of each query term in this document, in query-term order.
-  std::vector<uint32_t> freqs;
-};
-
 /// Summary statistics of an index.
 struct IndexStats {
   size_t num_documents = 0;
@@ -75,7 +66,7 @@ class InvertedIndex {
 
   // Matching is not the index's job: queries compile to iterator trees
   // over Postings() and execute in the engine layer (engine/doc_iterator.h
-  // — ExecuteMatch / ExecuteCount / ExecuteLocals).
+  // — ForEachMatch / ExecuteMatch / ExecuteCount).
 
   /// Corpus-wide statistics.
   const IndexStats& stats() const { return stats_; }

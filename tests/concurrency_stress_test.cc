@@ -16,20 +16,24 @@
 #include "asup/engine/parallel_service.h"
 #include "asup/engine/search_engine.h"
 #include "asup/index/corpus_manager.h"
+#include "asup/index/sharded_index.h"
 #include "asup/suppress/as_arbi.h"
 #include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/text/corpus_delta.h"
 #include "asup/text/synthetic_corpus.h"
+#include "asup/util/thread_pool.h"
 #include "asup/workload/aol_like.h"
 #include "test_util.h"
 
 namespace asup {
 namespace {
 
+using testing_util::FanOutCorpus;
 using testing_util::MakeRig;
 using testing_util::MakeTopicalRig;
 using testing_util::Rig;
+using testing_util::TasksQueuedBy;
 
 std::vector<KeywordQuery> AolLog(const Rig& rig, size_t size) {
   AolLikeConfig config;
@@ -66,6 +70,59 @@ TEST(ConcurrencyStressTest, PlainEngineSerialVsConcurrentEquivalence) {
   for (size_t i = 0; i < log.size(); ++i) {
     ExpectBitwiseEqual(concurrent[i], serial[i], i);
   }
+}
+
+TEST(ConcurrencyStressTest, PooledShardFanOutUnderConcurrentCallers) {
+  // Several client threads share one pooled 4-shard engine. "common" is in
+  // every document, so its queries pass kFanOutMinPostings and scatter to
+  // the shared pool while the others run inline on their callers: pool
+  // chunks, per-shard slots and the merge all interleave across callers.
+  // Every answer must equal the single-index engine's, bitwise.
+  const Corpus corpus = FanOutCorpus(/*copies=*/2);
+  const InvertedIndex single(corpus);
+  constexpr size_t kTopK = 5;
+  const PlainSearchEngine reference(single, kTopK);
+  const ShardedInvertedIndex sharded(corpus, 4);
+  ThreadPool pool(3);
+  ShardedSearchService engine(sharded, kTopK, &pool);
+  const Vocabulary& vocab = corpus.vocabulary();
+  const std::vector<KeywordQuery> queries = {
+      KeywordQuery::Parse(vocab, "common"),
+      KeywordQuery::Parse(vocab, "common w1"),
+      KeywordQuery::Parse(vocab, "rare"),
+      KeywordQuery::Parse(vocab, "w2 w3"),
+  };
+  ASSERT_GT(TasksQueuedBy(pool, [&] { engine.TopMatches(queries[0], 1); }),
+            0u);
+  ASSERT_EQ(TasksQueuedBy(pool, [&] { engine.TopMatches(queries[2], 1); }),
+            0u);
+
+  std::vector<RankedMatches> expected;
+  for (const KeywordQuery& q : queries) {
+    expected.push_back(reference.TopMatches(q, 2 * kTopK));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t round = 0; round < 12; ++round) {
+        const size_t qi = (round + t) % queries.size();
+        const RankedMatches got = engine.TopMatches(queries[qi], 2 * kTopK);
+        bool same = got.total_matches == expected[qi].total_matches &&
+                    got.docs.size() == expected[qi].docs.size();
+        for (size_t d = 0; same && d < got.docs.size(); ++d) {
+          same = got.docs[d].doc == expected[qi].docs[d].doc &&
+                 got.docs[d].score == expected[qi].docs[d].score;
+        }
+        if (!same) mismatches.fetch_add(1);
+        if (engine.MatchCount(queries[qi]) != expected[qi].total_matches) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ConcurrencyStressTest, DefendedSerialVsDeterministicParallelEquivalence) {

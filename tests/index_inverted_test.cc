@@ -23,8 +23,8 @@ QueryNode AndOf(const std::vector<TermId>& terms) {
   return QueryNode::And(std::move(children));
 }
 
-std::vector<MatchedDoc> Match(const InvertedIndex& index,
-                              const std::vector<TermId>& terms) {
+MatchList Match(const InvertedIndex& index,
+                const std::vector<TermId>& terms) {
   return ExecuteMatch(index, AndOf(terms), terms);
 }
 
@@ -70,9 +70,9 @@ TEST(InvertedIndexTest, SingleTermMatch) {
   const auto matches = Match(index, std::vector<TermId>{linux});
   ASSERT_EQ(matches.size(), 3u);
   // Ascending by id.
-  EXPECT_EQ(index.LocalToId(matches[0].local_doc), 1u);
-  EXPECT_EQ(index.LocalToId(matches[1].local_doc), 3u);
-  EXPECT_EQ(index.LocalToId(matches[2].local_doc), 4u);
+  EXPECT_EQ(index.LocalToId(matches.local_docs[0]), 1u);
+  EXPECT_EQ(index.LocalToId(matches.local_docs[1]), 3u);
+  EXPECT_EQ(index.LocalToId(matches.local_docs[2]), 4u);
 }
 
 TEST(InvertedIndexTest, ConjunctiveMatchIntersects) {
@@ -83,10 +83,10 @@ TEST(InvertedIndexTest, ConjunctiveMatchIntersects) {
                                   *vocab.Lookup("handbook")};
   const auto matches = Match(index, terms);
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(index.LocalToId(matches[0].local_doc), 3u);
-  EXPECT_EQ(matches[0].freqs.size(), 2u);
-  EXPECT_EQ(matches[0].freqs[0], 1u);  // linux tf in X3
-  EXPECT_EQ(matches[0].freqs[1], 1u);  // handbook tf in X3
+  EXPECT_EQ(index.LocalToId(matches.local_docs[0]), 3u);
+  EXPECT_EQ(matches.FreqsOf(0).size(), 2u);
+  EXPECT_EQ(matches.FreqsOf(0)[0], 1u);  // linux tf in X3
+  EXPECT_EQ(matches.FreqsOf(0)[1], 1u);  // handbook tf in X3
 }
 
 TEST(InvertedIndexTest, EmptyQueryMatchesNothing) {
@@ -111,9 +111,9 @@ TEST(InvertedIndexTest, DuplicateQueryTerms) {
   const auto matches =
       Match(index, std::vector<TermId>{linux, linux});
   EXPECT_EQ(matches.size(), 3u);
-  for (const auto& m : matches) {
-    ASSERT_EQ(m.freqs.size(), 2u);
-    EXPECT_EQ(m.freqs[0], m.freqs[1]);
+  for (size_t i = 0; i < matches.size(); ++i) {
+    ASSERT_EQ(matches.FreqsOf(i).size(), 2u);
+    EXPECT_EQ(matches.FreqsOf(i)[0], matches.FreqsOf(i)[1]);
   }
 }
 
@@ -189,8 +189,8 @@ TEST_P(IndexAgreementTest, MatchesBruteForceScan) {
     std::sort(expected.begin(), expected.end());
 
     std::vector<DocId> actual;
-    for (const auto& match : Match(index, terms)) {
-      actual.push_back(index.LocalToId(match.local_doc));
+    for (uint32_t local : Match(index, terms).local_docs) {
+      actual.push_back(index.LocalToId(local));
     }
     EXPECT_EQ(actual, expected);
     EXPECT_EQ(Count(index, terms), expected.size());

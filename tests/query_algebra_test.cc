@@ -100,20 +100,21 @@ void ExpectTreeMatchesOracle(const InvertedIndex& index,
                                        expected_set.end());
   for (const OrStrategy strategy :
        {OrStrategy::kAdaptive, OrStrategy::kFlat, OrStrategy::kHeap}) {
-    EXPECT_EQ(ExecuteLocals(index, node, strategy), expected);
+    EXPECT_EQ(ExecuteMatch(index, node, {}, strategy).local_docs, expected);
     EXPECT_EQ(ExecuteCount(index, node, strategy), expected.size());
   }
   // ExecuteMatch must agree on the documents and report each one's true
   // per-term frequencies for the tree's terms.
   const std::vector<TermId> terms = node.CollectTerms();
-  const std::vector<MatchedDoc> matches = ExecuteMatch(index, node, terms);
+  const MatchList matches = ExecuteMatch(index, node, terms);
   ASSERT_EQ(matches.size(), expected.size());
+  ASSERT_EQ(matches.freqs.size(), matches.size() * terms.size());
   for (size_t i = 0; i < matches.size(); ++i) {
-    EXPECT_EQ(matches[i].local_doc, expected[i]);
-    ASSERT_EQ(matches[i].freqs.size(), terms.size());
+    EXPECT_EQ(matches.local_docs[i], expected[i]);
+    ASSERT_EQ(matches.FreqsOf(i).size(), terms.size());
     for (size_t t = 0; t < terms.size(); ++t) {
-      EXPECT_EQ(matches[i].freqs[t],
-                index.DocAt(matches[i].local_doc).FrequencyOf(terms[t]));
+      EXPECT_EQ(matches.FreqsOf(i)[t],
+                index.DocAt(matches.local_docs[i]).FrequencyOf(terms[t]));
     }
   }
 }

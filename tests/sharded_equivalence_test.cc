@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -5,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "asup/engine/doc_iterator.h"
 #include "asup/engine/sharded_service.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/index/sharded_index.h"
@@ -18,9 +20,11 @@
 namespace asup {
 namespace {
 
+using testing_util::FanOutCorpus;
 using testing_util::MakeRig;
 using testing_util::MakeTopicalRig;
 using testing_util::Rig;
+using testing_util::TasksQueuedBy;
 
 // The sharded scatter-gather engine is specified to be *bitwise* equal to
 // the single-index serial engine — same documents, same double scores,
@@ -314,6 +318,99 @@ TEST_P(ShardedEngineEquivalenceTest, StateRoundTripsAcrossEngineKinds) {
   EXPECT_EQ(restored.NumActivatedDocs(), over_sharded.NumActivatedDocs());
   ExpectBitwiseEqual(restored.Search(rig.Q("sports")),
                      over_sharded.Search(rig.Q("sports")), "restored");
+}
+
+// The materialize-score-sort oracle the streamed top-k must equal: every
+// match of the single index scored with the engine's default scorer, fully
+// sorted in RankBefore order, then cut to `limit`.
+RankedMatches OracleTop(const InvertedIndex& index, const QueryNode& node,
+                        std::span<const TermId> terms, size_t limit) {
+  const std::unique_ptr<ScoringFunction> scorer = MakeDefaultScorer();
+  const ScoringContext context = MakeScoringContext(index, terms, *scorer);
+  const MatchList matches = ExecuteMatch(index, node, terms);
+  RankedMatches out;
+  out.total_matches = matches.size();
+  for (size_t i = 0; i < matches.size(); ++i) {
+    const Document& doc = index.DocAt(matches.local_docs[i]);
+    out.docs.push_back(
+        {doc.id(), scorer->ScoreMatch(context,
+                                      static_cast<double>(doc.length()),
+                                      matches.FreqsOf(i))});
+  }
+  std::sort(out.docs.begin(), out.docs.end(), RankBefore);
+  out.docs.resize(std::min(limit, out.docs.size()));
+  return out;
+}
+
+TEST_P(ShardedEngineEquivalenceTest, StreamedTopKEqualsSortOracle) {
+  const bool with_pool = GetParam();
+  const Corpus corpus = FanOutCorpus(/*copies=*/3);
+  const InvertedIndex single(corpus);
+  const Vocabulary& vocab = corpus.vocabulary();
+  const auto term = [&](const char* word) {
+    return QueryNode::Term(*vocab.Lookup(word));
+  };
+  const std::vector<QueryNode> queries = {
+      term("common"),
+      term("rare"),
+      term("w3"),
+      QueryNode::And({term("common"), term("w0")}),
+      QueryNode::And({term("w1"), term("w2"), term("w5")}),
+      QueryNode::And({term("common"), term("rare")}),
+      QueryNode::Or({term("rare"), term("w7")}),
+      QueryNode::Or({term("w4"), term("w8"), term("w9")}),
+      QueryNode::And({term("w6"), QueryNode::Not(term("w10"))}),
+      QueryNode::MakeEmpty(),
+  };
+  constexpr size_t kK = 5;
+  constexpr size_t kGammaK = 10;
+  std::unique_ptr<ThreadPool> pool =
+      with_pool ? std::make_unique<ThreadPool>(3) : nullptr;
+  for (size_t shards : kShardCounts) {
+    const ShardedInvertedIndex index(corpus, shards);
+    const ShardedSearchService engine(index, kK, pool.get());
+    const SnapshotHandle snapshot = engine.PinSnapshot();
+    if (pool != nullptr) {
+      // Both sides of the rule are reached through the corpus alone: only
+      // "common" passes the fan-out estimate, and every entry point takes
+      // the same side.
+      const auto fans_out = [&](const QueryNode& node) {
+        const std::vector<TermId> terms = node.CollectTerms();
+        const auto top = [&] {
+          engine.TopMatchesNodeIn(*snapshot, node, terms, kK);
+        };
+        const auto count = [&] { engine.MatchCountNodeIn(*snapshot, node); };
+        const auto ids = [&] { engine.MatchIdsNodeIn(*snapshot, node); };
+        const bool scattered = TasksQueuedBy(*pool, top) > 0;
+        EXPECT_EQ(TasksQueuedBy(*pool, count) > 0, scattered);
+        EXPECT_EQ(TasksQueuedBy(*pool, ids) > 0, scattered);
+        return scattered;
+      };
+      EXPECT_EQ(fans_out(term("common")), shards > 1);
+      EXPECT_FALSE(fans_out(term("rare")));
+      EXPECT_FALSE(fans_out(QueryNode::And({term("common"), term("rare")})));
+    }
+    for (const QueryNode& node : queries) {
+      const std::vector<TermId> terms = node.CollectTerms();
+      const size_t sel = ExecuteCount(single, node);
+      std::vector<size_t> limits = {0, 1, kK, kGammaK, sel, sel + 5};
+      if (sel > 0) limits.push_back(sel - 1);
+      for (size_t limit : limits) {
+        const std::string label = "shards=" + std::to_string(shards) +
+                                  " |Sel|=" + std::to_string(sel) +
+                                  " limit=" + std::to_string(limit);
+        ExpectBitwiseEqual(
+            engine.TopMatchesNodeIn(*snapshot, node, terms, limit),
+            OracleTop(single, node, terms, limit), label);
+      }
+      EXPECT_EQ(engine.MatchCountNodeIn(*snapshot, node), sel);
+      std::vector<DocId> ids;
+      for (uint32_t local : ExecuteMatch(single, node, {}).local_docs) {
+        ids.push_back(single.LocalToId(local));
+      }
+      EXPECT_EQ(engine.MatchIdsNodeIn(*snapshot, node), ids);
+    }
+  }
 }
 
 TEST(OneShardEngineTest, OneShardDeploymentsAnswerAsTheSingleIndex) {
