@@ -151,23 +151,19 @@ void PrintShardScaling(size_t k) {
   for (const size_t shards : {1u, 2u, 4u, 8u}) {
     ShardedInvertedIndex index(corpus, shards);
     ShardedSearchService serial_engine(index, k);
-    const double serial_qps = MeasureQps(
-        [&] {
-          for (size_t i = 0; i < queries; ++i) {
-            serial_engine.Search(log[i % log.size()]);
-          }
-        },
-        queries);
-
     ThreadPool pool(shards);
     ShardedSearchService pooled_engine(index, k, &pool);
-    const double pooled_qps = MeasureQps(
-        [&] {
-          for (size_t i = 0; i < queries; ++i) {
-            pooled_engine.Search(log[i % log.size()]);
-          }
-        },
-        queries);
+    const auto pass = [&](ShardedSearchService& engine) {
+      for (size_t i = 0; i < queries; ++i) engine.Search(log[i % log.size()]);
+    };
+    // One untimed pass per column first: the index was just built, and
+    // neither column should pay for first-touching its posting lists.
+    pass(serial_engine);
+    pass(pooled_engine);
+    const double serial_qps =
+        MeasureQps([&] { pass(serial_engine); }, queries);
+    const double pooled_qps =
+        MeasureQps([&] { pass(pooled_engine); }, queries);
 
     if (shards == 1) base_pooled = pooled_qps;
     table.AddRow({static_cast<double>(shards), serial_qps, pooled_qps,

@@ -21,8 +21,10 @@
 #include "asup/index/sharded_index.h"
 #include "asup/obs/trace.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/text/synthetic_corpus.h"
+#include "asup/util/random.h"
 #include "asup/util/thread_pool.h"
 #include "asup/workload/aol_like.h"
 #include "bench_common.h"
@@ -151,6 +153,68 @@ void BM_AsArbiSearchCached(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AsArbiSearchCached);
+
+// The defended miss path in probe_scan's shape: fresh rare single-word
+// probes (document frequency 1..40, so most are within reach of the cover
+// trigger), shuffled, with the answer cache on. No probe repeats, so every
+// timed query is a miss that pays the count, the cover trigger, the match
+// walk, the hiding stages and — for the cover defenses — the history
+// record. When the probes run out the engine is rebuilt untimed, so the
+// history each probe meets holds earlier probes only.
+const std::vector<KeywordQuery>& RareProbes() {
+  static const std::vector<KeywordQuery>* probes = [] {
+    const MicroEnv& env = Env();
+    const Vocabulary& vocab = env.corpus->vocabulary();
+    auto* out = new std::vector<KeywordQuery>();
+    for (TermId term = 0; term < vocab.size(); ++term) {
+      const size_t df = env.index->DocumentFrequency(term);
+      if (df >= 1 && df <= 40) {
+        out->push_back(KeywordQuery::FromTerms(vocab, {term}));
+      }
+    }
+    Rng rng(11);
+    for (size_t i = out->size(); i > 1; --i) {
+      std::swap((*out)[i - 1], (*out)[rng.UniformBelow(i)]);
+    }
+    return out;
+  }();
+  return *probes;
+}
+
+template <typename Config>
+void DefendedMiss(benchmark::State& state, const Config& config) {
+  MicroEnv& env = Env();
+  const std::vector<KeywordQuery>& probes = RareProbes();
+  auto defended = std::make_unique<DefendedEngine>(*env.engine, config);
+  size_t i = 0;
+  for (auto _ : state) {
+    if (i == probes.size()) {
+      state.PauseTiming();
+      defended = std::make_unique<DefendedEngine>(*env.engine, config);
+      i = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(defended->Search(probes[i]).docs.size());
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["probes"] = static_cast<double>(probes.size());
+}
+
+void BM_DefendedMissSimple(benchmark::State& state) {
+  DefendedMiss(state, AsSimpleConfig{});
+}
+BENCHMARK(BM_DefendedMissSimple);
+
+void BM_DefendedMissArbi(benchmark::State& state) {
+  DefendedMiss(state, AsArbiConfig{});
+}
+BENCHMARK(BM_DefendedMissArbi);
+
+void BM_DefendedMissDecline(benchmark::State& state) {
+  DefendedMiss(state, AsDeclineConfig{});
+}
+BENCHMARK(BM_DefendedMissDecline);
 
 // Batch throughput over the undefended engine at state.range(0) workers.
 // The index is immutable and the engine stateless, so this is the pure

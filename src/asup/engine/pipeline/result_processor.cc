@@ -8,23 +8,19 @@
 
 namespace asup {
 
-RankedMatches QueryContext::TopMatches(size_t limit) const {
+RankedMatches QueryContext::TopMatches(size_t limit, size_t max_ids) const {
+  const MatchOptions options{carry_locals, max_ids};
   if (node != nullptr) {
     const std::vector<TermId>& terms =
         score_terms != nullptr ? *score_terms : query->terms();
-    return base->TopMatchesNodeIn(*snapshot, *node, terms, limit);
+    return base->TopMatchesNodeIn(*snapshot, *node, terms, limit, options);
   }
-  return base->TopMatchesIn(*snapshot, *query, limit);
+  return base->TopMatchesIn(*snapshot, *query, limit, options);
 }
 
 size_t QueryContext::MatchCount() const {
   if (node != nullptr) return base->MatchCountNodeIn(*snapshot, *node);
   return base->MatchCountIn(*snapshot, *query);
-}
-
-std::vector<DocId> QueryContext::MatchIds() const {
-  if (node != nullptr) return base->MatchIdsNodeIn(*snapshot, *node);
-  return base->MatchIdsIn(*snapshot, *query);
 }
 
 ProcessorChain& ProcessorChain::Add(

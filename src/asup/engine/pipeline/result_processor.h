@@ -51,21 +51,26 @@ struct QueryContext {
   /// Whether a live match stage opens an obs span (the defended engines
   /// trace it; the undefended interface path never did).
   bool trace_match = false;
+  /// Whether the match stages carry each ranked document's snapshot-local
+  /// id out of the walk (RankedMatches::locals). The defended engines set
+  /// it: their hide stage tests Θ_R by those ids.
+  bool carry_locals = false;
   /// Segment arithmetic of the engine's pinned epoch, when the engine has
   /// one (every defended engine). Read-only.
   const IndistinguishableSegment* segment = nullptr;
 
   // --- match-phase state ---
   /// M(q) once a match stage ran: either `prefetch`'s ranked matches or
-  /// `owned_ranked` computed live.
+  /// `owned_ranked` computed live. A stage that walks the posting lists
+  /// early (the cover stage) fills it, and the match stage reuses it.
   const RankedMatches* ranked = nullptr;
   RankedMatches owned_ranked;
   /// |Sel(q)|.
   size_t match_count = 0;
   bool have_match_count = false;
-  /// All matching document ids, ascending (the cover evaluation).
+  /// All matching document ids, ascending (the cover evaluation): the
+  /// prefetch's list or `owned_ranked.ids`.
   const std::vector<DocId>* match_ids = nullptr;
-  std::vector<DocId> owned_match_ids;
 
   // --- answer state ---
   /// Working answer list between the suppression stages.
@@ -94,10 +99,11 @@ struct QueryContext {
   /// (bucket lower bound, count) pairs, ascending by bucket.
   std::vector<std::pair<uint64_t, size_t>> facet_buckets;
 
-  // Match helpers resolving against the pinned epoch.
-  RankedMatches TopMatches(size_t limit) const;
+  // Match helpers resolving against the pinned epoch. TopMatches carries
+  // local ids when `carry_locals` is set, and collects the ids of up to
+  // `max_ids` matches (MatchOptions::max_ids) when that is nonzero.
+  RankedMatches TopMatches(size_t limit, size_t max_ids = 0) const;
   size_t MatchCount() const;
-  std::vector<DocId> MatchIds() const;
 };
 
 /// One pipeline stage. Stateless with respect to the query: all per-query

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "asup/engine/doc_iterator.h"
 #include "asup/engine/pipeline/result_processor.h"
@@ -75,16 +76,74 @@ size_t EstimatedPostings(const QueryNode& node, size_t num_documents,
   return 0;  // unreachable; silences -Wreturn-type
 }
 
-/// True when a query over `snapshot` scatters to `pool`: a pool is
-/// attached, the epoch has more than one shard, and the query's estimated
-/// postings reach kFanOutMinPostings. Otherwise every shard runs inline on
-/// the calling thread.
+/// True when a query over `snapshot` whose estimated postings are
+/// `estimate` scatters to `pool`: a pool is attached, the epoch has more
+/// than one shard, and the estimate reaches kFanOutMinPostings. Otherwise
+/// every shard runs inline on the calling thread.
+bool ScattersAt(const ThreadPool* pool, const CorpusSnapshot& snapshot,
+                size_t estimate) {
+  return pool != nullptr && NumShards(snapshot) > 1 &&
+         estimate >= kFanOutMinPostings;
+}
+
+/// ScattersAt for `node`, estimating its postings only when a pool could
+/// take the query.
 template <typename DfOf>
 bool FansOut(const ThreadPool* pool, const CorpusSnapshot& snapshot,
              const QueryNode& node, const DfOf& df) {
-  return pool != nullptr && NumShards(snapshot) > 1 &&
-         EstimatedPostings(node, snapshot.NumDocuments(), df) >=
-             kFanOutMinPostings;
+  return pool != nullptr &&
+         ScattersAt(pool, snapshot,
+                    EstimatedPostings(node, snapshot.NumDocuments(), df));
+}
+
+/// Shard `s`'s first snapshot-local id: its offset in the epoch's local id
+/// space, which the shards partition in order.
+uint32_t ShardBaseAt(const CorpusSnapshot& snapshot, size_t s) {
+  return snapshot.has_sharded() ? snapshot.sharded().ShardBase(s) : 0;
+}
+
+/// A heap entry that carries the document's snapshot-local id alongside
+/// its rank key, for walks that opt into MatchOptions::carry_locals.
+struct LocalScoredDoc {
+  ScoredDoc scored;
+  uint32_t local;
+};
+
+const ScoredDoc& RankKey(const ScoredDoc& entry) { return entry; }
+const ScoredDoc& RankKey(const LocalScoredDoc& entry) { return entry.scored; }
+uint32_t CarriedLocal(const ScoredDoc&) { return 0; }
+uint32_t CarriedLocal(const LocalScoredDoc& entry) { return entry.local; }
+
+template <typename Entry>
+bool EntryBefore(const Entry& a, const Entry& b) {
+  return RankBefore(RankKey(a), RankKey(b));
+}
+
+/// The heap entry for a document; `local` is dropped by entries that do
+/// not carry it.
+template <typename Entry>
+Entry MakeEntry(const ScoredDoc& scored, uint32_t local) {
+  if constexpr (std::is_same_v<Entry, LocalScoredDoc>) {
+    return {scored, local};
+  } else {
+    (void)local;
+    return scored;
+  }
+}
+
+/// Moves sorted heap entries into `out`: documents, and their local ids
+/// when the entries carry them.
+void EmitSorted(std::vector<ScoredDoc> sorted, RankedMatches& out) {
+  out.docs = std::move(sorted);
+}
+void EmitSorted(const std::vector<LocalScoredDoc>& sorted,
+                RankedMatches& out) {
+  out.docs.reserve(sorted.size());
+  out.locals.reserve(sorted.size());
+  for (const LocalScoredDoc& entry : sorted) {
+    out.docs.push_back(entry.scored);
+    out.locals.push_back(entry.local);
+  }
 }
 
 /// Bounded top-`limit` selection under RankBefore: a max-heap whose front
@@ -92,40 +151,80 @@ bool FansOut(const ThreadPool* pool, const CorpusSnapshot& snapshot,
 /// unless it displaces that document. Because RankBefore is a strict total
 /// order, the kept set is the unique top-`limit` of everything pushed, in
 /// any push order.
+template <typename Entry>
 class TopK {
  public:
-  explicit TopK(size_t limit) : limit_(limit) {}
+  /// `expected` bounds the number of candidates (the query's estimated
+  /// postings), so the heap allocates once.
+  TopK(size_t limit, size_t expected) : limit_(limit) {
+    entries_.reserve(std::min(limit, expected));
+  }
 
-  void Push(const ScoredDoc& doc) {
-    if (docs_.size() < limit_) {
-      docs_.push_back(doc);
-      std::push_heap(docs_.begin(), docs_.end(), RankBefore);
-    } else if (limit_ > 0 && RankBefore(doc, docs_.front())) {
-      std::pop_heap(docs_.begin(), docs_.end(), RankBefore);
-      docs_.back() = doc;
-      std::push_heap(docs_.begin(), docs_.end(), RankBefore);
+  /// Offers a document with its local id. The entry is built only when
+  /// the document is kept, so a rejected candidate costs one comparison
+  /// of ScoredDoc keys, whatever the entry type.
+  void Push(const ScoredDoc& scored, uint32_t local) {
+    if (entries_.size() < limit_) {
+      entries_.push_back(MakeEntry<Entry>(scored, local));
+      std::push_heap(entries_.begin(), entries_.end(), EntryBefore<Entry>);
+    } else if (limit_ > 0 && RankBefore(scored, RankKey(entries_.front()))) {
+      std::pop_heap(entries_.begin(), entries_.end(), EntryBefore<Entry>);
+      entries_.back() = MakeEntry<Entry>(scored, local);
+      std::push_heap(entries_.begin(), entries_.end(), EntryBefore<Entry>);
     }
   }
 
-  /// The kept documents in RankBefore order.
-  std::vector<ScoredDoc> TakeSorted() {
-    std::sort_heap(docs_.begin(), docs_.end(), RankBefore);
-    return std::move(docs_);
+  /// The kept entries in RankBefore order.
+  std::vector<Entry> TakeSorted() {
+    std::sort_heap(entries_.begin(), entries_.end(), EntryBefore<Entry>);
+    return std::move(entries_);
   }
 
  private:
   size_t limit_;
-  std::vector<ScoredDoc> docs_;
+  std::vector<Entry> entries_;
+};
+
+/// The id sink of a walk that collects none: compiles away.
+struct NoIds {
+  static constexpr bool kActive = false;
+  explicit NoIds(std::vector<DocId>*, size_t) {}
+  void Offer(DocId) {}
+};
+
+/// The bounded id sink (MatchOptions::max_ids): appends each offered id
+/// while at most `max` have been offered; past that it empties the list and
+/// ignores the rest, since the caller has no use for a partial one.
+struct BoundedIds {
+  static constexpr bool kActive = true;
+  BoundedIds(std::vector<DocId>* ids, size_t max) : ids_(ids), max_(max) {}
+  void Offer(DocId id) {
+    if (overflowed_) return;
+    if (ids_->size() < max_) {
+      ids_->push_back(id);
+    } else {
+      overflowed_ = true;
+      ids_->clear();
+    }
+  }
+
+ private:
+  std::vector<DocId>* ids_;
+  size_t max_;
+  bool overflowed_ = false;
 };
 
 /// The per-shard body: walks `node` on `shard` once, scores each match
-/// against the global `context` as it passes and offers it to `top`.
-/// Returns the shard's match count; with `limit` 0 it only counts.
-size_t StreamShard(const InvertedIndex& shard, const QueryNode& node,
-                   std::span<const TermId> score_terms,
+/// against the global `context` as it passes and offers it to `top`, and
+/// its id to `ids`. `base` is the shard's first snapshot-local id. Returns
+/// the shard's match count; with `limit` 0 and no id sink it only counts.
+template <typename Entry, typename Sink>
+size_t StreamShard(const InvertedIndex& shard, uint32_t base,
+                   const QueryNode& node, std::span<const TermId> score_terms,
                    const ScoringContext& context,
-                   const ScoringFunction& scorer, size_t limit, TopK& top) {
-  if (limit == 0) return ExecuteCount(shard, node);
+                   const ScoringFunction& scorer, size_t limit,
+                   TopK<Entry>& top, Sink& ids) {
+  if (limit == 0 && !Sink::kActive) return ExecuteCount(shard, node);
   size_t matches = 0;
   ForEachMatch(shard, node, score_terms,
                [&](uint32_t local, std::span<const uint32_t> freqs) {
@@ -134,7 +233,9 @@ size_t StreamShard(const InvertedIndex& shard, const QueryNode& node,
                  top.Push({doc.id(),
                            scorer.ScoreMatch(
                                context, static_cast<double>(doc.length()),
-                               freqs)});
+                               freqs)},
+                          base + local);
+                 ids.Offer(doc.id());
                });
   return matches;
 }
@@ -172,10 +273,12 @@ SearchResult MatchingEngine::Search(const KeywordQuery& query) {
 
 RankedMatches MatchingEngine::TopMatchesIn(const CorpusSnapshot& snapshot,
                                            const KeywordQuery& query,
-                                           size_t limit) const {
+                                           size_t limit,
+                                           const MatchOptions& options)
+    const {
   if (query.terms().empty()) return {};  // unknown word or empty query
   return TopMatchesNodeIn(snapshot, QueryNode::FromKeywords(query),
-                          query.terms(), limit);
+                          query.terms(), limit, options);
 }
 
 size_t MatchingEngine::MatchCountIn(const CorpusSnapshot& snapshot,
@@ -228,7 +331,25 @@ void MatchingEngine::ForEachShard(
 
 RankedMatches MatchingEngine::TopMatchesNodeIn(
     const CorpusSnapshot& snapshot, const QueryNode& node,
-    std::span<const TermId> score_terms, size_t limit) const {
+    std::span<const TermId> score_terms, size_t limit,
+    const MatchOptions& options) const {
+  if (options.max_ids != 0) {
+    ASUP_CHECK(options.carry_locals);
+    return WalkIn<LocalScoredDoc, BoundedIds>(snapshot, node, score_terms,
+                                              limit, options.max_ids);
+  }
+  if (options.carry_locals) {
+    return WalkIn<LocalScoredDoc, NoIds>(snapshot, node, score_terms, limit,
+                                         0);
+  }
+  return WalkIn<ScoredDoc, NoIds>(snapshot, node, score_terms, limit, 0);
+}
+
+template <typename Entry, typename Sink>
+RankedMatches MatchingEngine::WalkIn(const CorpusSnapshot& snapshot,
+                                     const QueryNode& node,
+                                     std::span<const TermId> score_terms,
+                                     size_t limit, size_t max_ids) const {
   const ScoringContext context =
       GlobalContext(snapshot, score_terms, *scorer_);
   // The fan-out estimate reads the dfs the context already holds; only a
@@ -240,16 +361,24 @@ RankedMatches MatchingEngine::TopMatchesNodeIn(
     return GlobalDf(snapshot, term);
   };
   const size_t shards = NumShards(snapshot);
+  const size_t estimate =
+      EstimatedPostings(node, snapshot.NumDocuments(), df);
+  // No query matches more documents than the epoch holds.
+  const size_t most = std::min(estimate, snapshot.NumDocuments());
   RankedMatches out;
-  TopK top(limit);
-  if (!FansOut(pool_, snapshot, node, df)) {
-    // Inline: every shard streams into one heap on the calling thread.
+  TopK<Entry> top(limit, most);
+  if (!ScattersAt(pool_, snapshot, estimate)) {
+    // Inline: every shard streams into one heap and one id sink on the
+    // calling thread; shards hold ascending id ranges, so the ids arrive
+    // ascending.
+    if constexpr (Sink::kActive) out.ids.reserve(std::min(max_ids, most));
+    Sink ids(&out.ids, max_ids);
     for (size_t s = 0; s < shards; ++s) {
-      out.total_matches += StreamShard(ShardAt(snapshot, s), node,
-                                       score_terms, context, *scorer_,
-                                       limit, top);
+      out.total_matches +=
+          StreamShard(ShardAt(snapshot, s), ShardBaseAt(snapshot, s), node,
+                      score_terms, context, *scorer_, limit, top, ids);
     }
-    out.docs = top.TakeSorted();
+    EmitSorted(top.TakeSorted(), out);
     return out;
   }
 
@@ -257,33 +386,52 @@ RankedMatches MatchingEngine::TopMatchesNodeIn(
   // document range (Not anti-joins each shard's local range; shards
   // partition the corpus, so the per-shard complements union to the
   // global complement) and keeps its local top-`limit` — a superset of the
-  // shard's contribution to the global top-`limit`. Slots are
-  // preallocated, so the phase is deterministic under any scheduling.
-  std::vector<RankedMatches> slots(shards);
+  // shard's contribution to the global top-`limit` — and its own bounded
+  // id list. Slots are preallocated, so the phase is deterministic under
+  // any scheduling.
+  struct Slot {
+    size_t total_matches = 0;
+    std::vector<Entry> top;
+    std::vector<DocId> ids;
+  };
+  std::vector<Slot> slots(shards);
   ForEachShard(shards, [&](size_t s) {
     // Attributes the span to the caller's trace when this chunk runs on
     // the issuing thread; always feeds the shard_match latency histogram.
     ASUP_TRACE_STAGE(obs::Stage::kShardMatch);
-    TopK shard_top(limit);
+    const InvertedIndex& shard = ShardAt(snapshot, s);
+    TopK<Entry> shard_top(limit, std::min(most, shard.NumDocuments()));
+    Sink shard_ids(&slots[s].ids, max_ids);
     slots[s].total_matches =
-        StreamShard(ShardAt(snapshot, s), node, score_terms, context,
-                    *scorer_, limit, shard_top);
-    slots[s].docs = shard_top.TakeSorted();
+        StreamShard(shard, ShardBaseAt(snapshot, s), node, score_terms,
+                    context, *scorer_, limit, shard_top, shard_ids);
+    slots[s].top = shard_top.TakeSorted();
   });
 
   // Gather: exact global merge. RankBefore is a strict total order over
   // distinct document ids, so the top-`limit` of the concatenated
-  // candidates is unique — bitwise the inline answer.
+  // candidates is unique — bitwise the inline answer. The id lists
+  // concatenate in shard order (ascending, disjoint ranges) when the total
+  // stayed within the bound.
   {
     ASUP_TRACE_STAGE(obs::Stage::kShardMerge);
     size_t candidates = 0;
-    for (const RankedMatches& slot : slots) {
+    for (const Slot& slot : slots) {
       out.total_matches += slot.total_matches;
-      candidates += slot.docs.size();
-      for (const ScoredDoc& doc : slot.docs) top.Push(doc);
+      candidates += slot.top.size();
+      for (const Entry& entry : slot.top) {
+        top.Push(RankKey(entry), CarriedLocal(entry));
+      }
+    }
+    if (Sink::kActive && out.total_matches <= max_ids) {
+      out.ids.reserve(out.total_matches);
+      for (const Slot& slot : slots) {
+        out.ids.insert(out.ids.end(), slot.ids.begin(), slot.ids.end());
+      }
+      ASUP_CHECK_EQ(out.ids.size(), out.total_matches);
     }
     ASUP_METRIC_OBSERVE_SIZE("asup_shard_merge_candidates", candidates);
-    out.docs = top.TakeSorted();
+    EmitSorted(top.TakeSorted(), out);
     // Merge-ordering contract: a strict total order admits exactly one
     // sorted answer of at most `limit` documents, none repeated.
     ASUP_CHECK_LE(out.docs.size(), std::min(limit, candidates));

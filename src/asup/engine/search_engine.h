@@ -26,6 +26,39 @@ struct RankedMatches {
 
   /// Total number of matching documents, |Sel(q)|.
   size_t total_matches = 0;
+
+  /// Snapshot-local id of each entry of `docs`, in the same order. Filled
+  /// only when the walk was asked to carry them
+  /// (MatchOptions::carry_locals); empty otherwise.
+  std::vector<uint32_t> locals;
+
+  /// Ids of every matching document, ascending, when the walk was given an
+  /// id bound (MatchOptions::max_ids) and |Sel(q)| stayed within it; empty
+  /// otherwise.
+  std::vector<DocId> ids;
+};
+
+/// Opt-in extras of one match walk, for the defended engines. The default
+/// asks for nothing, and a walk asked for nothing runs the plain
+/// interface's code, paying for neither extra.
+struct MatchOptions {
+  /// Carry each ranked document's snapshot-local id out of the walk
+  /// (RankedMatches::locals), so Θ_R is tested without an id lookup.
+  bool carry_locals = false;
+
+  /// Bounded id sink: when nonzero, the walk also collects the id of every
+  /// match into RankedMatches::ids while at most `max_ids` have passed, and
+  /// discards them beyond it. The cover defenses set it to the largest
+  /// |Sel(q)| their trigger can accept, so a query the trigger evaluates
+  /// needs no second walk for its ids. Requires `carry_locals`: the
+  /// defended walks are the only ones that need ids.
+  size_t max_ids = 0;
+
+  /// True when a walk with these options over `total_matches` matches
+  /// filled RankedMatches::ids with all of them.
+  bool HasIds(size_t total_matches) const {
+    return max_ids != 0 && total_matches <= max_ids;
+  }
 };
 
 /// The engine's deterministic ranking order: descending score, ties broken
@@ -126,11 +159,13 @@ class MatchingEngine : public SearchService {
   // engine's PinSnapshot (now or earlier).
 
   /// Server-side, against a pinned epoch: the top `limit` matches of a
-  /// boolean query tree and the total match count.
+  /// boolean query tree and the total match count, plus whatever extras
+  /// `options` asks for — all from one walk of the posting lists.
   RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
                                  const QueryNode& node,
                                  std::span<const TermId> score_terms,
-                                 size_t limit) const;
+                                 size_t limit,
+                                 const MatchOptions& options = {}) const;
 
   /// Server-side, against a pinned epoch: the tree's match count.
   size_t MatchCountNodeIn(const CorpusSnapshot& snapshot,
@@ -150,7 +185,8 @@ class MatchingEngine : public SearchService {
   /// Server-side, against a pinned epoch: the top `limit` matches and the
   /// total match count — paper notation M(q) and |Sel(q)|.
   RankedMatches TopMatchesIn(const CorpusSnapshot& snapshot,
-                             const KeywordQuery& query, size_t limit) const;
+                             const KeywordQuery& query, size_t limit,
+                             const MatchOptions& options = {}) const;
 
   /// Server-side, against a pinned epoch: |Sel(q)|.
   size_t MatchCountIn(const CorpusSnapshot& snapshot,
@@ -221,6 +257,13 @@ class MatchingEngine : public SearchService {
   /// slots.
   void ForEachShard(size_t shards,
                     const std::function<void(size_t)>& body) const;
+
+  /// TopMatchesNodeIn for one heap-entry type (with or without a carried
+  /// local id) and one id sink type (none or bounded).
+  template <typename Entry, typename Sink>
+  RankedMatches WalkIn(const CorpusSnapshot& snapshot, const QueryNode& node,
+                       std::span<const TermId> score_terms, size_t limit,
+                       size_t max_ids) const;
 
   /// Exactly one of these is set: a managed epoch chain or a pinned
   /// epoch-0 snapshot borrowing the caller's static index.

@@ -238,7 +238,7 @@ SnapshotHandle CorpusManager::BuildNextLocked(const CorpusSnapshot& base,
 
   auto index = std::unique_ptr<InvertedIndex>(new InvertedIndex());
   index->corpus_ = corpus.get();
-  index->docs_by_local_ = std::move(docs_by_local);
+  index->SetDocsByLocal(std::move(docs_by_local));
   index->postings_ = std::move(postings);
   index->stats_ = stats;
 

@@ -23,11 +23,12 @@ InvertedIndex::InvertedIndex(const Corpus& corpus)
 
 InvertedIndex::InvertedIndex(const Corpus& corpus,
                              std::vector<const Document*> docs)
-    : corpus_(&corpus), docs_by_local_(std::move(docs)) {
-  std::sort(docs_by_local_.begin(), docs_by_local_.end(),
+    : corpus_(&corpus) {
+  std::sort(docs.begin(), docs.end(),
             [](const Document* a, const Document* b) {
               return a->id() < b->id();
             });
+  SetDocsByLocal(std::move(docs));
 
   postings_.resize(corpus.vocabulary().size());
   std::vector<PostingList::Builder> builders(postings_.size());
@@ -61,13 +62,18 @@ InvertedIndex::InvertedIndex(const Corpus& corpus,
   }
 }
 
+void InvertedIndex::SetDocsByLocal(std::vector<const Document*> docs) {
+  docs_by_local_ = std::move(docs);
+  ids_by_local_.clear();
+  ids_by_local_.reserve(docs_by_local_.size());
+  for (const Document* doc : docs_by_local_) ids_by_local_.push_back(doc->id());
+}
+
 uint32_t InvertedIndex::LocalOf(DocId id) const {
-  auto it = std::lower_bound(docs_by_local_.begin(), docs_by_local_.end(), id,
-                             [](const Document* doc, DocId value) {
-                               return doc->id() < value;
-                             });
-  ASUP_CHECK(it != docs_by_local_.end() && (*it)->id() == id);
-  return static_cast<uint32_t>(it - docs_by_local_.begin());
+  const auto it =
+      std::lower_bound(ids_by_local_.begin(), ids_by_local_.end(), id);
+  ASUP_CHECK(it != ids_by_local_.end() && *it == id);
+  return static_cast<uint32_t>(it - ids_by_local_.begin());
 }
 
 const PostingList& InvertedIndex::Postings(TermId term) const {

@@ -51,9 +51,10 @@ class InvertedIndex {
   }
 
   /// Universe DocId for a local id.
-  DocId LocalToId(uint32_t local) const { return docs_by_local_[local]->id(); }
+  DocId LocalToId(uint32_t local) const { return ids_by_local_[local]; }
 
   /// Local id for a universe DocId; aborts if the document is not indexed.
+  /// Binary-searches the flat id array, touching no Document.
   uint32_t LocalOf(DocId id) const;
 
   /// Posting list of `term`; empty list if the term does not occur.
@@ -78,8 +79,14 @@ class InvertedIndex {
   InvertedIndex() = default;
   friend class CorpusManager;
 
+  /// Sets docs_by_local_ and its id mirror ids_by_local_.
+  void SetDocsByLocal(std::vector<const Document*> docs);
+
   const Corpus* corpus_ = nullptr;
   std::vector<const Document*> docs_by_local_;
+  /// docs_by_local_[local]->id(), ascending: LocalOf and LocalToId read
+  /// this instead of dereferencing one Document per step.
+  std::vector<DocId> ids_by_local_;
   std::vector<PostingList> postings_;  // indexed by TermId
   PostingList empty_list_;
   IndexStats stats_;

@@ -23,10 +23,23 @@ bool CoverFinder::PassesSignaturePrescreen(const std::vector<DocId>& match_ids,
   // per-bit counts could possibly reach σ·|q|. Each historic query sets one
   // bit, so the count at its bit upper-bounds how many matching documents
   // that query's answer covers (collisions only make the bound looser).
-  std::vector<uint32_t> counts(kSignatureBits, 0);
+  // The sum is kept sparse: only bits some matching document sets have a
+  // nonzero count, and after sorting every set bit of every signature,
+  // each count is the length of one run.
+  std::vector<uint16_t> bits;
   for (DocId doc : match_ids) {
-    const BitVector* signature = history_->SignatureOf(doc);
-    if (signature != nullptr) signature->AccumulateInto(counts);
+    const QuerySignature* signature = history_->SignatureOf(doc);
+    if (signature == nullptr) continue;
+    signature->ForEachSetBit(
+        [&](size_t bit) { bits.push_back(static_cast<uint16_t>(bit)); });
+  }
+  std::sort(bits.begin(), bits.end());
+  std::vector<uint32_t> counts;
+  for (size_t run = 0; run < bits.size();) {
+    size_t end = run + 1;
+    while (end < bits.size() && bits[end] == bits[run]) ++end;
+    counts.push_back(static_cast<uint32_t>(end - run));
+    run = end;
   }
   if (cover_size_ < counts.size()) {
     std::nth_element(counts.begin(), counts.begin() + cover_size_,
@@ -42,7 +55,7 @@ std::vector<CoverFinder::Candidate> CoverFinder::GatherCandidates(
     const std::vector<DocId>& match_ids) const {
   std::unordered_map<uint32_t, std::vector<uint32_t>> covers;
   for (uint32_t pos = 0; pos < match_ids.size(); ++pos) {
-    const std::vector<uint32_t>* queries =
+    const QueryIndexList* queries =
         history_->QueriesReturning(match_ids[pos]);
     if (queries == nullptr) continue;
     for (uint32_t qi : *queries) covers[qi].push_back(pos);

@@ -46,7 +46,10 @@ DefendedEngine::DefendedEngine(MatchingEngine& base,
       m_limit_(static_cast<size_t>(
           std::ceil(config.simple.gamma * static_cast<double>(base.k())))),
       returned_before_(snapshot_->NumDocuments()),
-      history_(config.cover_size, config.cover_ratio) {
+      history_(config.cover_size, config.cover_ratio),
+      max_match_ids_(defense == DefenseAlgorithm::kSimple
+                         ? 0
+                         : history_.MaxPlausibleMatches(base.k())) {
   // γ > 1 (checked again by the segment) implies |M(q)| may exceed k, which
   // is what lets trimmed top-k documents be replaced by lower-ranked ones.
   ASUP_CHECK_LE(base.k(), m_limit_);
@@ -56,7 +59,8 @@ DefendedEngine::DefendedEngine(MatchingEngine& base,
     chain_.Add(std::make_unique<MatchCountProcessor>())
         .Add(std::make_unique<SelSizeNoteProcessor>())
         .Add(std::make_unique<UnderflowGuardProcessor>())
-        .Add(std::make_unique<CoverProcessor>(history_, counters_));
+        .Add(std::make_unique<CoverProcessor>(history_, counters_,
+                                              max_match_ids_));
     if (defense == DefenseAlgorithm::kArbi) {
       chain_.Add(std::make_unique<VirtualAnswerProcessor>(
           history_, returned_before_, counters_));
@@ -119,14 +123,17 @@ QueryPrefetch DefendedEngine::PrefetchMatches(
   // M(q) = the min(|q|, γ·k) highest-ranked matching documents — a pure
   // function of one epoch's immutable index, never of Θ_R. The pinned
   // snapshot rides along so the commit phase can tell whether the epoch
-  // moved in between.
+  // moved in between. One walk yields M(q) with its local ids and, for
+  // the cover defenses, the match ids whenever the trigger is
+  // size-plausible.
   prefetch.snapshot = base_->PinSnapshot();
-  prefetch.ranked = base_->TopMatchesIn(*prefetch.snapshot, query, m_limit_);
-  if (defense_ != DefenseAlgorithm::kSimple &&
-      prefetch.ranked.total_matches > 0 &&
-      history_.TriggerPlausible(prefetch.ranked.total_matches, base_->k())) {
-    // Same snapshot as the ranked matches — a prefetch is one epoch's view.
-    prefetch.match_ids = base_->MatchIdsIn(*prefetch.snapshot, query);
+  const MatchOptions options{/*carry_locals=*/true, max_match_ids_};
+  prefetch.ranked =
+      base_->TopMatchesIn(*prefetch.snapshot, query, m_limit_, options);
+  const size_t total = prefetch.ranked.total_matches;
+  if (total > 0 && options.HasIds(total)) {
+    ASUP_CHECK(history_.TriggerPlausible(total, base_->k()));
+    prefetch.match_ids = std::move(prefetch.ranked.ids);
     prefetch.has_match_ids = true;
   }
   return prefetch;
@@ -206,6 +213,7 @@ SearchResult DefendedEngine::SearchStateLocked(const KeywordQuery& query,
   context.match_limit = m_limit_;
   context.prefetch = prefetch_usable ? prefetch : nullptr;
   context.trace_match = true;
+  context.carry_locals = true;
   context.segment = &segment_;
   SearchResult result;
   try {

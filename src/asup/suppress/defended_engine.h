@@ -242,6 +242,10 @@ class DefendedEngine : public PrefetchableService {
   AtomicBitmap returned_before_;
   /// The cover defenses' history; untouched by the AS-SIMPLE chain.
   DefenseHistory history_;
+  /// history_.MaxPlausibleMatches(k) for the cover defenses, 0 for
+  /// AS-SIMPLE: the id-sink bound of the walks that feed the cover search
+  /// (the prefetch and the cover stage's live walk).
+  size_t max_match_ids_;
   /// The defense's processor chain. Composed once at construction,
   /// immutable afterwards; run per query under the shared epoch lock.
   ProcessorChain chain_;

@@ -26,6 +26,22 @@ bool DefenseHistory::TriggerPlausible(size_t match_count, size_t k) const {
   return cover_ratio_ * static_cast<double>(match_count) <= max_coverable;
 }
 
+size_t DefenseHistory::MaxPlausibleMatches(size_t k) const {
+  // Start from the real quotient m·k/σ, then step so that the bound agrees
+  // with TriggerPlausible's own floating-point test exactly. The cap only
+  // keeps a vanishing σ from overflowing the conversion; no corpus nears
+  // it.
+  constexpr double kCap = 1e15;
+  const double bound = std::min(
+      static_cast<double>(cover_size_ * k) / cover_ratio_, kCap);
+  size_t n = static_cast<size_t>(bound);
+  if (bound < kCap) {
+    while (TriggerPlausible(n + 1, k)) ++n;
+  }
+  while (n > 0 && !TriggerPlausible(n, k)) --n;
+  return n;
+}
+
 bool DefenseHistory::MayCover(size_t match_count) const {
   const size_t need = std::max<size_t>(
       1, static_cast<size_t>(
@@ -128,9 +144,10 @@ void HideProcessor::Process(QueryContext& context) const {
   uint64_t reshown = 0;
   {
     ASUP_TRACE_STAGE(obs::Stage::kHide);
-    for (const ScoredDoc& scored : ranked.docs) {
-      if (returned_before_->TestAndSet(
-              context.snapshot->LocalOf(scored.doc))) {
+    ASUP_CHECK_EQ(ranked.locals.size(), m_size);
+    for (size_t i = 0; i < m_size; ++i) {
+      const ScoredDoc& scored = ranked.docs[i];
+      if (returned_before_->TestAndSet(ranked.locals[i])) {
         if (coin_->Accept(context.query->hash(), scored.doc,
                           keep_probability)) {
           context.docs.push_back(scored);
@@ -158,10 +175,12 @@ void HideProcessor::Process(QueryContext& context) const {
   // Θ_R monotonicity: TestAndSet only ever sets bits, so after the loop
   // every document of M(q) — kept, hidden, or about to be trimmed — is
   // activated (Algorithm 1 runs line 14 after the loop; §5.1 depends on
-  // all of M(q) entering Θ_R).
-  ASUP_CONTRACTS_ONLY(for (const ScoredDoc& scored : ranked.docs) {
-    ASUP_DCHECK(
-        returned_before_->Test(context.snapshot->LocalOf(scored.doc)));
+  // all of M(q) entering Θ_R). Each carried local id is the document's
+  // own in the pinned epoch.
+  ASUP_CONTRACTS_ONLY(for (size_t i = 0; i < m_size; ++i) {
+    ASUP_CHECK_EQ(ranked.locals[i],
+                  context.snapshot->LocalOf(ranked.docs[i].doc));
+    ASUP_DCHECK(returned_before_->Test(ranked.locals[i]));
   })
   ASUP_CHECK_EQ(context.docs.size() + hidden, m_size);
 }
@@ -254,11 +273,18 @@ void CoverProcessor::Process(QueryContext& context) const {
   if (context.prefetch != nullptr && context.prefetch->has_match_ids) {
     context.match_ids = &context.prefetch->match_ids;
   } else {
+    // One walk for the ids and M(q): an uncovered query's match stage
+    // reuses M(q). The trigger held, so |Sel(q)| is within the sink's
+    // bound and the id list is complete.
     {
       ASUP_TRACE_STAGE(obs::Stage::kMatch);
-      context.owned_match_ids = context.MatchIds();
+      context.owned_ranked =
+          context.TopMatches(context.match_limit, max_ids_);
     }
-    context.match_ids = &context.owned_match_ids;
+    ASUP_CHECK_EQ(context.owned_ranked.total_matches, context.match_count);
+    ASUP_CHECK_EQ(context.owned_ranked.ids.size(), context.match_count);
+    context.ranked = &context.owned_ranked;
+    context.match_ids = &context.owned_ranked.ids;
   }
   ReaderLock lock(history_->mutex);
   CoverResult cover;
@@ -344,9 +370,11 @@ void DeclineProcessor::Process(QueryContext& context) const {
 }
 
 void HistoryRecordProcessor::Process(QueryContext& context) const {
-  // Only queries the AS-SIMPLE stages answered (Algorithm 2 lines 6-8);
-  // underflows, virtual answers and refusals never reach the match stage.
-  if (context.ranked == nullptr) return;
+  // Only queries the AS-SIMPLE stages answered (Algorithm 2 lines 6-8):
+  // not underflows, and not covered queries, which got a virtual answer or
+  // a refusal. Whether M(q) exists says nothing here — the cover stage
+  // computes it for queries it may then cover.
+  if (context.match_count == 0 || context.cover_found) return;
   counters_->simple_answers.fetch_add(1, std::memory_order_relaxed);
   ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
   if (context.result.docs.empty()) return;

@@ -71,6 +71,10 @@ class DefenseHistory {
   /// cover trigger (Figure 15).
   bool TriggerPlausible(size_t match_count, size_t k) const;
 
+  /// The largest |Sel(q)| for which TriggerPlausible(·, k) holds: the
+  /// bound of the id sink a cover defense's match walk carries.
+  size_t MaxPlausibleMatches(size_t k) const;
+
   /// Lock-free pre-screen: false when no cover of ⌈σ·match_count⌉
   /// documents can exist because the history is empty or has disclosed
   /// fewer documents than that. The mirrors may lag the store, which only
@@ -131,7 +135,9 @@ class SuppressGuardProcessor : public ResultProcessor {
 
 /// Algorithm 1 lines 7-13: per-document edge removal against Θ_R with the
 /// keyed deterministic coin; survivors land in context.docs, all of M(q)
-/// enters Θ_R.
+/// enters Θ_R. Θ_R is indexed by the local ids M(q) carries out of the
+/// walk (the chain sets QueryContext::carry_locals), so no document id is
+/// looked up.
 class HideProcessor : public ResultProcessor {
  public:
   HideProcessor(AtomicBitmap& returned_before, const DeterministicCoin& coin,
@@ -189,19 +195,24 @@ class SelSizeNoteProcessor : public ResultProcessor {
 
 /// Algorithm 2's cover trigger: size-plausibility check, lock-free
 /// prescreen, match-id resolution, and the cover search under the history
-/// lock. On success the covering answers' document pool is extracted into
-/// the context (still under the lock); what a covered query gets is the
-/// next stage's decision.
+/// lock. The match ids come from the prefetch or from one live walk that
+/// also yields M(q), which the match stage then reuses. On success the
+/// covering answers' document pool is extracted into the context (still
+/// under the lock); what a covered query gets is the next stage's
+/// decision.
 class CoverProcessor : public ResultProcessor {
  public:
-  CoverProcessor(DefenseHistory& history, DefenseCounters& counters)
-      : history_(&history), counters_(&counters) {}
+  /// `max_ids` is the history's MaxPlausibleMatches(k).
+  CoverProcessor(DefenseHistory& history, DefenseCounters& counters,
+                 size_t max_ids)
+      : history_(&history), counters_(&counters), max_ids_(max_ids) {}
   const char* name() const override { return "cover"; }
   void Process(QueryContext& context) const override;
 
  private:
   DefenseHistory* history_;
   DefenseCounters* counters_;
+  size_t max_ids_;
 };
 
 /// AS-ARBI's answer to a covered query — virtual query processing:
@@ -239,7 +250,9 @@ class DeclineProcessor : public ResultProcessor {
 
 /// Records a query the AS-SIMPLE stages answered: counts the fall-through
 /// and, when the answer is non-empty, records it into the history
-/// (exclusive lock).
+/// (exclusive lock). The gate is the cover outcome, not whether M(q)
+/// exists: the cover stage may have computed M(q) for a query it then
+/// covered.
 class HistoryRecordProcessor : public ResultProcessor {
  public:
   HistoryRecordProcessor(DefenseHistory& history, DefenseCounters& counters)

@@ -13,6 +13,7 @@
 #include "asup/suppress/as_arbi.h"
 #include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
+#include "asup/suppress/processors.h"
 #include "asup/suppress/state_io.h"
 #include "asup/util/thread_pool.h"
 #include "test_util.h"
@@ -409,6 +410,146 @@ TEST_P(ShardedEngineEquivalenceTest, StreamedTopKEqualsSortOracle) {
         ids.push_back(single.LocalToId(local));
       }
       EXPECT_EQ(engine.MatchIdsNodeIn(*snapshot, node), ids);
+    }
+  }
+}
+
+// A corpus of kFanOutMinPostings documents, all holding "common"; for each
+// entry B of `bounds`, "at<i>" occurs in exactly B documents and "over<i>"
+// in B + 1, spread over the whole id range so every shard count splits
+// them.
+Corpus BoundCorpus(const std::vector<size_t>& bounds) {
+  auto vocab = std::make_shared<Vocabulary>();
+  const TermId common = vocab->AddWord("common");
+  const size_t num_docs = kFanOutMinPostings;
+  std::vector<std::vector<TermId>> tokens(num_docs,
+                                          std::vector<TermId>{common});
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    const std::string suffix = std::to_string(i);
+    const TermId at = vocab->AddWord("at" + suffix);
+    const TermId over = vocab->AddWord("over" + suffix);
+    for (size_t j = 0; j <= bounds[i]; ++j) {
+      const size_t doc = (j * num_docs / (bounds[i] + 1) + i) % num_docs;
+      if (j < bounds[i]) tokens[doc].push_back(at);
+      tokens[doc].push_back(over);
+      // Scores differ by document length, so ranking is not id order.
+      for (size_t pad = 0; pad < j % 3; ++pad) tokens[doc].push_back(common);
+    }
+  }
+  std::vector<Document> docs;
+  for (size_t id = 0; id < num_docs; ++id) {
+    docs.emplace_back(static_cast<DocId>(id), tokens[id]);
+  }
+  return Corpus(vocab, std::move(docs));
+}
+
+TEST_P(ShardedEngineEquivalenceTest, CarriedLocalsAndBoundedIdsFromOneWalk) {
+  const bool with_pool = GetParam();
+  constexpr size_t kK = 10;
+  constexpr size_t kGammaK = 20;
+  constexpr size_t kCoverSize = 5;
+  // The id-sink bound of a cover defense is the largest |Sel(q)| its
+  // trigger accepts.
+  std::vector<size_t> bounds;
+  for (double ratio : {1.0, 0.5, 0.3}) {
+    const DefenseHistory history(kCoverSize, ratio);
+    const size_t bound = history.MaxPlausibleMatches(kK);
+    EXPECT_TRUE(history.TriggerPlausible(bound, kK)) << ratio;
+    EXPECT_FALSE(history.TriggerPlausible(bound + 1, kK)) << ratio;
+    bounds.push_back(bound);
+  }
+  const Corpus corpus = BoundCorpus(bounds);
+  const Vocabulary& vocab = corpus.vocabulary();
+  const auto term = [&](const std::string& word) {
+    return QueryNode::Term(*vocab.Lookup(word));
+  };
+  // Or-ing in Not(common), which matches nothing, lifts a query's
+  // fan-out estimate to the corpus size without changing its matches.
+  const auto fanned = [&](const QueryNode& node) {
+    return QueryNode::Or({node, QueryNode::Not(term("common"))});
+  };
+  std::unique_ptr<ThreadPool> pool =
+      with_pool ? std::make_unique<ThreadPool>(3) : nullptr;
+  for (size_t shards : kShardCounts) {
+    const ShardedInvertedIndex index(corpus, shards);
+    const ShardedSearchService engine(index, kK, pool.get());
+    const SnapshotHandle snapshot = engine.PinSnapshot();
+    // Runs `walk` and checks it took the side the fan-out rule gives.
+    const auto on_side = [&](bool scatters, const auto& walk) {
+      RankedMatches out;
+      const auto call = [&] { out = walk(); };
+      if (pool == nullptr) {
+        call();
+      } else {
+        EXPECT_EQ(TasksQueuedBy(*pool, call) > 0, scatters && shards > 1)
+            << "shards=" << shards;
+      }
+      return out;
+    };
+
+    for (size_t i = 0; i < bounds.size(); ++i) {
+      const std::string suffix = std::to_string(i);
+      for (const bool scatter : {false, true}) {
+        const QueryNode at = scatter ? fanned(term("at" + suffix))
+                                     : term("at" + suffix);
+        const QueryNode over = scatter ? fanned(term("over" + suffix))
+                                       : term("over" + suffix);
+        const std::string label = "shards=" + std::to_string(shards) +
+                                  " bound=" + std::to_string(bounds[i]) +
+                                  (scatter ? " scattered" : " inline");
+        const std::vector<TermId> at_terms = at.CollectTerms();
+        const std::vector<TermId> over_terms = over.CollectTerms();
+        const MatchOptions options{/*carry_locals=*/true, bounds[i]};
+
+        // |Sel(q)| at the bound: the one walk lists every match, exactly
+        // MatchIdsNodeIn's list.
+        const RankedMatches within = on_side(scatter, [&] {
+          return engine.TopMatchesNodeIn(*snapshot, at, at_terms, kGammaK,
+                                         options);
+        });
+        ASSERT_EQ(within.total_matches, bounds[i]) << label;
+        EXPECT_TRUE(options.HasIds(within.total_matches)) << label;
+        EXPECT_EQ(within.ids, engine.MatchIdsNodeIn(*snapshot, at)) << label;
+        // M(q) itself is the walk without extras, bitwise.
+        ExpectBitwiseEqual(
+            within,
+            engine.TopMatchesNodeIn(*snapshot, at, at_terms, kGammaK),
+            label);
+
+        // One above the bound: the list is discarded.
+        const RankedMatches beyond = on_side(scatter, [&] {
+          return engine.TopMatchesNodeIn(*snapshot, over, over_terms,
+                                         kGammaK, options);
+        });
+        ASSERT_EQ(beyond.total_matches, bounds[i] + 1) << label;
+        EXPECT_FALSE(options.HasIds(beyond.total_matches)) << label;
+        EXPECT_TRUE(beyond.ids.empty()) << label;
+
+        // Carried local ids are the documents' own, at every limit.
+        for (const QueryNode* node : {&at, &over}) {
+          const std::vector<TermId> terms = node->CollectTerms();
+          const size_t sel = engine.MatchCountNodeIn(*snapshot, *node);
+          for (size_t limit : {size_t{1}, kK, kGammaK, sel + 5}) {
+            const RankedMatches carried = on_side(scatter, [&] {
+              return engine.TopMatchesNodeIn(*snapshot, *node, terms, limit,
+                                             {/*carry_locals=*/true, 0});
+            });
+            const RankedMatches plain =
+                engine.TopMatchesNodeIn(*snapshot, *node, terms, limit);
+            const std::string at_limit =
+                label + " limit=" + std::to_string(limit);
+            ExpectBitwiseEqual(carried, plain, at_limit);
+            EXPECT_TRUE(plain.locals.empty()) << at_limit;
+            EXPECT_TRUE(carried.ids.empty()) << at_limit;
+            ASSERT_EQ(carried.locals.size(), carried.docs.size()) << at_limit;
+            for (size_t r = 0; r < carried.docs.size(); ++r) {
+              EXPECT_EQ(carried.locals[r],
+                        snapshot->LocalOf(carried.docs[r].doc))
+                  << at_limit << " rank " << r;
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "asup/engine/pipeline/result_processor.h"
+#include "asup/suppress/processors.h"
 #include "test_util.h"
 
 namespace asup {
@@ -104,6 +106,53 @@ TEST(AsArbiTest, VirtualAnswersNotRecordedInHistory) {
                 defended.stats().virtual_answers,
             family.size());
   EXPECT_GT(defended.stats().virtual_answers, 0u);
+}
+
+TEST(AsArbiTest, HistoryRecordGatesOnCoverOutcomeNotOnMatches) {
+  // The cover stage computes M(q) for every query whose trigger it
+  // evaluates, so a covered query reaches the record stage with M(q) in
+  // hand. Only the cover outcome tells it apart from an answer of the
+  // hiding stages; a gate on M(q) would record virtual answers and
+  // refusals into the history.
+  Rig rig = MakeRig(400, 5);
+  DefenseHistory history(/*cover_size=*/5, /*cover_ratio=*/1.0);
+  DefenseCounters counters;
+  const HistoryRecordProcessor record(history, counters);
+  const KeywordQuery query = rig.Q("sports");
+  const auto fill_with_matches = [&](QueryContext& context, bool covered) {
+    context.query = &query;
+    context.base = rig.engine.get();
+    context.k = 5;
+    context.owned_ranked = rig.engine->TopMatches(query, 10);
+    context.ranked = &context.owned_ranked;
+    context.match_count = context.owned_ranked.total_matches;
+    context.have_match_count = true;
+    context.cover_found = covered;
+    context.result.docs = context.owned_ranked.docs;
+    context.result.docs.resize(3);
+    context.finished = true;
+  };
+
+  QueryContext covered;
+  fill_with_matches(covered, /*covered=*/true);
+  record.Process(covered);
+  EXPECT_EQ(history.UnlockedStore().NumQueries(), 0u);
+  EXPECT_EQ(counters.simple_answers.load(), 0u);
+
+  QueryContext answered;
+  fill_with_matches(answered, /*covered=*/false);
+  record.Process(answered);
+  EXPECT_EQ(history.UnlockedStore().NumQueries(), 1u);
+  EXPECT_EQ(counters.simple_answers.load(), 1u);
+
+  // An underflow is no answer of the hiding stages either.
+  QueryContext underflow;
+  underflow.query = &query;
+  underflow.have_match_count = true;
+  underflow.finished = true;
+  record.Process(underflow);
+  EXPECT_EQ(history.UnlockedStore().NumQueries(), 1u);
+  EXPECT_EQ(counters.simple_answers.load(), 1u);
 }
 
 TEST(AsArbiTest, BroadQueriesSkipTriggerEvaluation) {

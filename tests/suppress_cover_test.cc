@@ -1,8 +1,12 @@
 #include "asup/suppress/cover_finder.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "asup/util/random.h"
 
 namespace asup {
 namespace {
@@ -142,6 +146,64 @@ TEST_F(CoverFinderTest, CoverIsActuallyACover) {
     for (DocId d : history_.QueryAt(qi).answer) covered.insert(d);
   }
   for (DocId d : match) EXPECT_TRUE(covered.count(d)) << d;
+}
+
+// Whether some u <= m of `answers` together contain every id of `match`.
+bool ExhaustiveFullCover(const std::vector<std::vector<DocId>>& answers,
+                         const std::vector<DocId>& match, size_t m,
+                         size_t first = 0,
+                         std::vector<DocId> covered = {}) {
+  if (std::includes(covered.begin(), covered.end(), match.begin(),
+                    match.end())) {
+    return true;
+  }
+  if (m == 0) return false;
+  for (size_t i = first; i < answers.size(); ++i) {
+    std::vector<DocId> next;
+    std::set_union(covered.begin(), covered.end(), answers[i].begin(),
+                   answers[i].end(), std::back_inserter(next));
+    if (ExhaustiveFullCover(answers, match, m - 1, i + 1, next)) return true;
+  }
+  return false;
+}
+
+TEST_F(CoverFinderTest, FullCoverAgreesWithExhaustiveSearch) {
+  // σ = 1: the signature prescreen may only reject match sets no cover
+  // exists for, and the exact search must find one whenever it exists.
+  Rng rng(31);
+  const std::string words = "abcdefghij";
+  size_t covered = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    HistoryStore history;
+    std::vector<std::vector<DocId>> answers;
+    const size_t queries = 1 + rng.UniformBelow(8);
+    for (size_t q = 0; q < queries; ++q) {
+      std::vector<std::string> text = {
+          std::string(1, words[rng.UniformBelow(words.size())])};
+      if (rng.Bernoulli(0.5)) {
+        text.push_back(std::string(1, words[rng.UniformBelow(words.size())]));
+      }
+      std::vector<DocId> answer;
+      for (DocId doc = 0; doc < 12; ++doc) {
+        if (rng.Bernoulli(0.3)) answer.push_back(doc);
+      }
+      history.Record(KeywordQuery::FromWords(vocab_, text), answer);
+      answers.push_back(answer);
+    }
+    std::vector<DocId> match;
+    for (DocId doc = 0; doc < 12; ++doc) {
+      if (rng.Bernoulli(0.25)) match.push_back(doc);
+    }
+    const size_t m = 1 + rng.UniformBelow(3);
+    const CoverFinder finder(history, m, 1.0);
+    const bool expected = !match.empty() &&
+                          ExhaustiveFullCover(answers, match, m);
+    EXPECT_EQ(finder.Find(match).found, expected) << "trial " << trial;
+    covered += expected ? 1 : 0;
+  }
+  // Both outcomes occur.
+  EXPECT_GT(covered, 20u);
+  EXPECT_LT(covered, 280u);
 }
 
 }  // namespace
