@@ -124,14 +124,16 @@ void PrintParallelMode(const Corpus& corpus,
   PrintFigure("fig15b: parallel batch throughput vs worker count", table);
 }
 
-/// Match throughput of the scatter-gather engine vs shard count, on
-/// queries the pooled engine scatters: a 2^17-document DfLadderCorpus
-/// queried for its df-32,768/65,536/131,072 terms alone and in pairs, so
-/// every query's estimated postings reach kFanOutMinPostings. The same
-/// queries are answered serially (one thread walking all shards) and with a
-/// pool of one worker per shard. Answers are bitwise identical to the
-/// single-index engine at every row, so this isolates the scaling of the
-/// scatter phase against the partitioning + merge overhead. The AOL-like
+/// Match throughput of the scatter-gather engine vs partition count, on
+/// queries the pooled engine scatters: one index over a 2^17-document
+/// DfLadderCorpus, cut into 1/2/4/8 id-range partitions, queried for its
+/// df-32,768/65,536/131,072 terms alone and in pairs, so every query's
+/// estimated postings reach kFanOutMinPostings. The same queries are
+/// answered serially (one thread walking the whole index) and with a pool
+/// of one worker per partition (one range walk each, then the merge).
+/// Answers are bitwise identical to the single-index engine at every row,
+/// so this isolates the scaling of the scatter phase against its range
+/// skips and merge. The AOL-like
 /// log would not do: its queries sit below the constant, so the pooled
 /// engine runs them inline.
 void PrintShardScaling(size_t k) {

@@ -297,9 +297,10 @@ BENCHMARK(BM_DeterministicArbiBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Scatter-gather matching at state.range(0) shards, single-threaded
-// fan-out: the pure cost of partitioned matching + exact merge relative
-// to BM_PlainSearch (answers are bitwise identical by construction).
+// The engine over one index cut into state.range(0) partitions, with no
+// pool: every query walks the whole index inline, whatever the partition
+// count, so the rows should match each other and BM_PlainSearch (answers
+// are bitwise identical by construction).
 void BM_ShardedSearchSerial(benchmark::State& state) {
   MicroEnv& env = Env();
   ShardedInvertedIndex index(*env.corpus,
@@ -315,15 +316,16 @@ void BM_ShardedSearchSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedSearchSerial)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The sharded engine on inputs past its fan-out rule: a 2^17-document
-// DfLadderCorpus split into range(0) shards, answering top-5 for the
-// single-term query of document frequency range(1). The inline row has no
-// pool, so every shard runs on the calling thread; the pooled row attaches
-// range(0) − 1 workers (the caller is the last participant, as in
-// perfbench) and so scatters exactly when the df reaches
-// kFanOutMinPostings — below it, both rows run the same inline path. The
-// 4-shard df sweep is the crossover measurement in EXPERIMENTS.md; the
-// shard sweep at df 65,536 is the scatter's scaling.
+// The sharded engine on inputs past its fan-out rule: one index over a
+// 2^17-document DfLadderCorpus cut into range(0) id-range partitions,
+// answering top-5 for the single-term query of document frequency
+// range(1). The inline row has no pool, so the query walks the whole index
+// on the calling thread; the pooled row attaches range(0) − 1 workers (the
+// caller is the last participant, as in perfbench) and so scatters, one
+// range walk per partition, exactly when the df reaches kFanOutMinPostings
+// — below it, both rows run the same inline path. The 4-partition df sweep
+// is the crossover measurement in EXPERIMENTS.md; the partition sweep at
+// df 65,536 is the scatter's scaling.
 const Corpus& LadderCorpus() {
   static const Corpus* corpus =
       new Corpus(bench::DfLadderCorpus(size_t{1} << 17, 4096));
@@ -351,26 +353,14 @@ void BM_ShardedSearchInline(benchmark::State& state) {
 void BM_ShardedSearchPooled(benchmark::State& state) {
   ShardedLadderSearch(state, /*pooled=*/true);
 }
-// {shards, df}: the df sweep at 4 shards, then the shard sweep.
+// {partitions, df}: the df sweep at 4 partitions, then the partition
+// sweep.
 void LadderArgs(benchmark::internal::Benchmark* bench) {
   for (int64_t df = 4096; df <= (1 << 17); df *= 2) bench->Args({4, df});
   for (int64_t shards : {1, 2, 8}) bench->Args({shards, 65536});
 }
 BENCHMARK(BM_ShardedSearchInline)->Apply(LadderArgs)->UseRealTime();
 BENCHMARK(BM_ShardedSearchPooled)->Apply(LadderArgs)->UseRealTime();
-
-// Sharded index construction: N per-shard indexes over disjoint ranges.
-void BM_ShardedIndexBuild(benchmark::State& state) {
-  const Corpus& corpus = *Env().corpus;
-  const auto shards = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    ShardedInvertedIndex index(corpus, shards);
-    benchmark::DoNotOptimize(index.stats().num_postings);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(corpus.size()));
-}
-BENCHMARK(BM_ShardedIndexBuild)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // Block-format decode throughput: full scan of a 10k-posting list through
 // the group-varint block codec (the format every engine reads now).

@@ -37,7 +37,7 @@ namespace asup {
 /// Lock discipline (compiler-checked, DESIGN.md §14): each shard embeds its
 /// own `Mutex` and its map is `ASUP_GUARDED_BY` it — the annotation needs a
 /// statically nameable capability, which is why the mutex lives inside the
-/// shard struct rather than in a parallel ShardedMutex table.
+/// shard struct rather than in a parallel table of mutexes.
 class AnswerCache {
  public:
   explicit AnswerCache(size_t min_shards = 16);

@@ -388,17 +388,30 @@ MatchList ExecuteMatch(const InvertedIndex& index, const QueryNode& node,
   return result;
 }
 
-size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,
-                    OrStrategy strategy) {
-  // A single term's count is its document frequency: no iterator (whose
-  // constructor decodes the first block) is needed.
-  if (node.kind() == QueryNode::Kind::kTerm) {
+size_t ExecuteCountIn(const InvertedIndex& index, DocRange range,
+                      const QueryNode& node, OrStrategy strategy) {
+  // A single term's count over the whole index is its document frequency:
+  // no iterator (whose constructor decodes the first block) is needed.
+  if (node.kind() == QueryNode::Kind::kTerm && range.lo == 0 &&
+      range.hi >= index.NumDocuments()) {
     return index.Postings(node.term()).size();
   }
   CompiledQuery query = CompileQuery(index, node, strategy);
+  // A range that reaches the end of the index skips the bound check: it
+  // would cost the whole-index count loop a virtual Doc() call per match.
+  const bool bounded = range.hi < index.NumDocuments();
   size_t count = 0;
-  for (DocIterator& root = *query.root; root.Valid(); root.Next()) ++count;
+  DocIterator& root = *query.root;
+  for (root.SkipTo(range.lo); root.Valid(); root.Next()) {
+    if (bounded && root.Doc() >= range.hi) break;
+    ++count;
+  }
   return count;
+}
+
+size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,
+                    OrStrategy strategy) {
+  return ExecuteCountIn(index, index.AllDocs(), node, strategy);
 }
 
 }  // namespace asup

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "asup/engine/query_node.h"
@@ -13,8 +14,8 @@ namespace asup {
 
 /// The iterator algebra the match path executes: a QueryNode tree compiles
 /// into a tree of DocIterators (Term / And / Or / Not / Empty), and every
-/// engine entry point — MatchingEngine's per-shard match, the pipeline
-/// match stage — drives the root. Iterators
+/// engine entry point — MatchingEngine's walk of the whole index or of one
+/// scatter partition, the pipeline match stage — drives the root. Iterators
 /// stream ascending local doc ids; SkipTo obeys the same forward-only
 /// contract as PostingList::Iterator::SkipTo (a target at or behind the
 /// current doc is a no-op), which is what lets And leapfrog its children
@@ -243,20 +244,36 @@ class MatchFreqReader {
 
 }  // namespace detail
 
-/// The one match walk: compiles `node` against `index` and calls
-/// `visit(local_doc, freqs)` for every match, ascending, where `freqs`
-/// holds the match's frequency of each of `freq_terms` (valid during the
-/// call only). Nothing is materialized per match.
+/// The one match walk: compiles `node` against `index`, skips to
+/// `range.lo` through the posting lists' skip tables, and calls
+/// `visit(local_doc, freqs)` for every match below `range.hi`, ascending,
+/// where `freqs` holds the match's frequency of each of `freq_terms` (valid
+/// during the call only). Nothing is materialized per match. The tree is
+/// compiled against the whole index, so a Not complements over every
+/// document and the range keeps exactly its own share of that complement:
+/// the walks of disjoint covering ranges partition the whole walk.
+template <typename Visit>
+void ForEachMatchIn(const InvertedIndex& index, DocRange range,
+                    const QueryNode& node, std::span<const TermId> freq_terms,
+                    Visit&& visit,
+                    OrStrategy strategy = OrStrategy::kAdaptive) {
+  const CompiledQuery query = CompileQuery(index, node, strategy);
+  detail::MatchFreqReader reader(index, query, freq_terms);
+  DocIterator& root = *query.root;
+  for (root.SkipTo(range.lo); root.Valid(); root.Next()) {
+    const uint32_t local = root.Doc();
+    if (local >= range.hi) break;
+    visit(local, reader.Read(local));
+  }
+}
+
+/// ForEachMatchIn over every document of `index`.
 template <typename Visit>
 void ForEachMatch(const InvertedIndex& index, const QueryNode& node,
                   std::span<const TermId> freq_terms, Visit&& visit,
                   OrStrategy strategy = OrStrategy::kAdaptive) {
-  const CompiledQuery query = CompileQuery(index, node, strategy);
-  detail::MatchFreqReader reader(index, query, freq_terms);
-  for (DocIterator& root = *query.root; root.Valid(); root.Next()) {
-    const uint32_t local = root.Doc();
-    visit(local, reader.Read(local));
-  }
+  ForEachMatchIn(index, index.AllDocs(), node, freq_terms,
+                 std::forward<Visit>(visit), strategy);
 }
 
 /// Every match of a query: local ids ascending, and each match's
@@ -283,8 +300,14 @@ MatchList ExecuteMatch(const InvertedIndex& index, const QueryNode& node,
                        std::span<const TermId> freq_terms,
                        OrStrategy strategy = OrStrategy::kAdaptive);
 
-/// Number of matching documents, without materializing anything; a bare
-/// term's count is its posting list's size.
+/// Number of matching documents in `range`, without materializing
+/// anything; a bare term's count over the whole index is its posting
+/// list's size.
+size_t ExecuteCountIn(const InvertedIndex& index, DocRange range,
+                      const QueryNode& node,
+                      OrStrategy strategy = OrStrategy::kAdaptive);
+
+/// ExecuteCountIn over every document of `index`.
 size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,
                     OrStrategy strategy = OrStrategy::kAdaptive);
 

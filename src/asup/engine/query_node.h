@@ -12,7 +12,7 @@ namespace asup {
 /// algebra (engine/doc_iterator.h) compiles and executes. A plain value
 /// type: nodes own their children, copy freely, and carry no corpus or
 /// index references, so one tree can be compiled against many indexes
-/// (each shard of a sharded deployment compiles the same tree).
+/// (and once per partition of a scattered walk).
 ///
 /// Semantics over an index's local doc ids:
 ///   Term(t)     documents containing t (empty set for an unindexed term)

@@ -4,11 +4,9 @@
 
 namespace asup {
 
-namespace {
-
-template <typename Index>
-ScoringContext ContextOf(const Index& index, std::span<const TermId> terms,
-                         const ScoringFunction& scorer) {
+ScoringContext MakeScoringContext(const InvertedIndex& index,
+                                  std::span<const TermId> terms,
+                                  const ScoringFunction& scorer) {
   ScoringContext context;
   context.stats = &index.stats();
   context.dfs.reserve(terms.size());
@@ -19,20 +17,6 @@ ScoringContext ContextOf(const Index& index, std::span<const TermId> terms,
         scorer.TermWeight(*context.stats, context.dfs.back()));
   }
   return context;
-}
-
-}  // namespace
-
-ScoringContext MakeScoringContext(const InvertedIndex& index,
-                                  std::span<const TermId> terms,
-                                  const ScoringFunction& scorer) {
-  return ContextOf(index, terms, scorer);
-}
-
-ScoringContext MakeScoringContext(const ShardedInvertedIndex& index,
-                                  std::span<const TermId> terms,
-                                  const ScoringFunction& scorer) {
-  return ContextOf(index, terms, scorer);
 }
 
 double ScoringFunction::Score(const InvertedIndex& index,

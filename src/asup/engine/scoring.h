@@ -6,18 +6,15 @@
 #include <vector>
 
 #include "asup/index/inverted_index.h"
-#include "asup/index/sharded_index.h"
 #include "asup/text/vocabulary.h"
 
 namespace asup {
 
 class ScoringFunction;
 
-/// Corpus-wide inputs to scoring for one query, decoupled from any single
-/// InvertedIndex so a sharded engine can score shard-local matches against
-/// *global* statistics. Scores are bitwise identical to a single-index
-/// engine exactly when `stats` and `dfs` describe the whole logical corpus
-/// (the scoring arithmetic consumes nothing else that spans shards).
+/// Corpus-wide inputs to scoring for one query, computed once and read at
+/// every match. Every partition of a scattered walk scores against the same
+/// context, so its scores are bitwise those of the inline walk.
 struct ScoringContext {
   /// Statistics of the logical corpus (num_documents, average_doc_length).
   const IndexStats* stats = nullptr;
@@ -34,13 +31,6 @@ struct ScoringContext {
 /// Builds the scoring context of `terms` for `scorer` against one index
 /// covering the whole corpus.
 ScoringContext MakeScoringContext(const InvertedIndex& index,
-                                  std::span<const TermId> terms,
-                                  const ScoringFunction& scorer);
-
-/// Same, for a sharded index: its corpus-wide stats and the per-term
-/// document frequencies summed over its shards — bitwise the context of a
-/// single index over the same corpus.
-ScoringContext MakeScoringContext(const ShardedInvertedIndex& index,
                                   std::span<const TermId> terms,
                                   const ScoringFunction& scorer);
 

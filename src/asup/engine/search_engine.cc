@@ -13,35 +13,6 @@ namespace asup {
 
 namespace {
 
-/// Number of shards in the epoch's shard list: its sharded view when it
-/// has one, else its single index as shard 0 of 1.
-size_t NumShards(const CorpusSnapshot& snapshot) {
-  return snapshot.has_sharded() ? snapshot.sharded().NumShards() : 1;
-}
-
-/// Shard `s` of the epoch's shard list.
-const InvertedIndex& ShardAt(const CorpusSnapshot& snapshot, size_t s) {
-  return snapshot.has_sharded() ? snapshot.sharded().Shard(s)
-                                : snapshot.index();
-}
-
-/// Corpus-wide document frequency of `term` in this epoch. Both views carry
-/// the same global statistics; the single index answers with one lookup
-/// instead of one per shard.
-size_t GlobalDf(const CorpusSnapshot& snapshot, TermId term) {
-  return snapshot.has_index() ? snapshot.index().DocumentFrequency(term)
-                              : snapshot.sharded().DocumentFrequency(term);
-}
-
-/// Corpus-wide scoring inputs of `terms` for `scorer` in this epoch.
-ScoringContext GlobalContext(const CorpusSnapshot& snapshot,
-                             std::span<const TermId> terms,
-                             const ScoringFunction& scorer) {
-  return snapshot.has_index()
-             ? MakeScoringContext(snapshot.index(), terms, scorer)
-             : MakeScoringContext(snapshot.sharded(), terms, scorer);
-}
-
 /// Upper bound on the postings a query walks: the rarest child bounds an
 /// And, an Or walks every child, a Not walks the whole id range. `df(term)`
 /// is a term's corpus-wide document frequency.
@@ -78,28 +49,25 @@ size_t EstimatedPostings(const QueryNode& node, size_t num_documents,
 
 /// True when a query over `snapshot` whose estimated postings are
 /// `estimate` scatters to `pool`: a pool is attached, the epoch has more
-/// than one shard, and the estimate reaches kFanOutMinPostings. Otherwise
-/// every shard runs inline on the calling thread.
+/// than one partition, and the estimate reaches kFanOutMinPostings.
+/// Otherwise the query walks the whole index inline on the calling thread.
 bool ScattersAt(const ThreadPool* pool, const CorpusSnapshot& snapshot,
                 size_t estimate) {
-  return pool != nullptr && NumShards(snapshot) > 1 &&
+  return pool != nullptr && snapshot.num_shards() > 1 &&
          estimate >= kFanOutMinPostings;
 }
 
 /// ScattersAt for `node`, estimating its postings only when a pool could
 /// take the query.
-template <typename DfOf>
 bool FansOut(const ThreadPool* pool, const CorpusSnapshot& snapshot,
-             const QueryNode& node, const DfOf& df) {
+             const QueryNode& node) {
+  const InvertedIndex& index = snapshot.index();
   return pool != nullptr &&
          ScattersAt(pool, snapshot,
-                    EstimatedPostings(node, snapshot.NumDocuments(), df));
-}
-
-/// Shard `s`'s first snapshot-local id: its offset in the epoch's local id
-/// space, which the shards partition in order.
-uint32_t ShardBaseAt(const CorpusSnapshot& snapshot, size_t s) {
-  return snapshot.has_sharded() ? snapshot.sharded().ShardBase(s) : 0;
+                    EstimatedPostings(node, index.NumDocuments(),
+                                      [&](TermId term) {
+                                        return index.DocumentFrequency(term);
+                                      }));
 }
 
 /// A heap entry that carries the document's snapshot-local id alongside
@@ -214,40 +182,40 @@ struct BoundedIds {
   bool overflowed_ = false;
 };
 
-/// The per-shard body: walks `node` on `shard` once, scores each match
-/// against the global `context` as it passes and offers it to `top`, and
-/// its id to `ids`. `base` is the shard's first snapshot-local id. Returns
-/// the shard's match count; with `limit` 0 and no id sink it only counts.
+/// The walk of one id range: walks `node` over `range` of `index` once,
+/// scores each match against `context` as it passes and offers it to
+/// `top`, and its id to `ids`. Returns the range's match count; with
+/// `limit` 0 and no id sink it only counts.
 template <typename Entry, typename Sink>
-size_t StreamShard(const InvertedIndex& shard, uint32_t base,
+size_t StreamRange(const InvertedIndex& index, DocRange range,
                    const QueryNode& node, std::span<const TermId> score_terms,
                    const ScoringContext& context,
                    const ScoringFunction& scorer, size_t limit,
                    TopK<Entry>& top, Sink& ids) {
-  if (limit == 0 && !Sink::kActive) return ExecuteCount(shard, node);
+  if (limit == 0 && !Sink::kActive) return ExecuteCountIn(index, range, node);
   size_t matches = 0;
-  ForEachMatch(shard, node, score_terms,
-               [&](uint32_t local, std::span<const uint32_t> freqs) {
-                 ++matches;
-                 const Document& doc = shard.DocAt(local);
-                 top.Push({doc.id(),
-                           scorer.ScoreMatch(
-                               context, static_cast<double>(doc.length()),
-                               freqs)},
-                          base + local);
-                 ids.Offer(doc.id());
-               });
+  ForEachMatchIn(index, range, node, score_terms,
+                 [&](uint32_t local, std::span<const uint32_t> freqs) {
+                   ++matches;
+                   const Document& doc = index.DocAt(local);
+                   top.Push({doc.id(),
+                             scorer.ScoreMatch(
+                                 context, static_cast<double>(doc.length()),
+                                 freqs)},
+                            local);
+                   ids.Offer(doc.id());
+                 });
   return matches;
 }
 
-/// Appends the ids of every document of `shard` matching `node`,
-/// ascending, to `ids`.
-void AppendMatchIds(const InvertedIndex& shard, const QueryNode& node,
-                    std::vector<DocId>& ids) {
-  ForEachMatch(shard, node, {},
-               [&](uint32_t local, std::span<const uint32_t>) {
-                 ids.push_back(shard.LocalToId(local));
-               });
+/// Appends the ids of every document in `range` of `index` matching
+/// `node`, ascending, to `ids`.
+void AppendMatchIds(const InvertedIndex& index, DocRange range,
+                    const QueryNode& node, std::vector<DocId>& ids) {
+  ForEachMatchIn(index, range, node, {},
+                 [&](uint32_t local, std::span<const uint32_t>) {
+                   ids.push_back(index.LocalToId(local));
+                 });
 }
 
 }  // namespace
@@ -350,69 +318,65 @@ RankedMatches MatchingEngine::WalkIn(const CorpusSnapshot& snapshot,
                                      const QueryNode& node,
                                      std::span<const TermId> score_terms,
                                      size_t limit, size_t max_ids) const {
+  const InvertedIndex& index = snapshot.index();
   const ScoringContext context =
-      GlobalContext(snapshot, score_terms, *scorer_);
+      MakeScoringContext(index, score_terms, *scorer_);
   // The fan-out estimate reads the dfs the context already holds; only a
   // tree term outside `score_terms` is looked up again.
   const auto df = [&](TermId term) {
     for (size_t i = 0; i < score_terms.size(); ++i) {
       if (score_terms[i] == term) return context.dfs[i];
     }
-    return GlobalDf(snapshot, term);
+    return index.DocumentFrequency(term);
   };
-  const size_t shards = NumShards(snapshot);
-  const size_t estimate =
-      EstimatedPostings(node, snapshot.NumDocuments(), df);
+  const size_t estimate = EstimatedPostings(node, index.NumDocuments(), df);
   // No query matches more documents than the epoch holds.
-  const size_t most = std::min(estimate, snapshot.NumDocuments());
+  const size_t most = std::min(estimate, index.NumDocuments());
   RankedMatches out;
   TopK<Entry> top(limit, most);
   if (!ScattersAt(pool_, snapshot, estimate)) {
-    // Inline: every shard streams into one heap and one id sink on the
-    // calling thread; shards hold ascending id ranges, so the ids arrive
-    // ascending.
+    // Inline: one walk of the whole index on the calling thread, into one
+    // heap and one id sink.
     if constexpr (Sink::kActive) out.ids.reserve(std::min(max_ids, most));
     Sink ids(&out.ids, max_ids);
-    for (size_t s = 0; s < shards; ++s) {
-      out.total_matches +=
-          StreamShard(ShardAt(snapshot, s), ShardBaseAt(snapshot, s), node,
-                      score_terms, context, *scorer_, limit, top, ids);
-    }
+    out.total_matches =
+        StreamRange(index, index.AllDocs(), node, score_terms, context,
+                    *scorer_, limit, top, ids);
     EmitSorted(top.TakeSorted(), out);
     return out;
   }
 
-  // Scatter: each shard compiles the same query tree against its own
-  // document range (Not anti-joins each shard's local range; shards
-  // partition the corpus, so the per-shard complements union to the
-  // global complement) and keeps its local top-`limit` — a superset of the
-  // shard's contribution to the global top-`limit` — and its own bounded
-  // id list. Slots are preallocated, so the phase is deterministic under
-  // any scheduling.
+  // Scatter: each partition walks the same tree over its own id range
+  // (a Not complements over the whole index, so each range keeps its own
+  // share of the complement) and keeps its local top-`limit` — a superset
+  // of the range's contribution to the global top-`limit` — and its own
+  // bounded id list. Slots are preallocated, so the phase is deterministic
+  // under any scheduling.
   struct Slot {
     size_t total_matches = 0;
     std::vector<Entry> top;
     std::vector<DocId> ids;
   };
+  const size_t shards = snapshot.num_shards();
   std::vector<Slot> slots(shards);
   ForEachShard(shards, [&](size_t s) {
     // Attributes the span to the caller's trace when this chunk runs on
     // the issuing thread; always feeds the shard_match latency histogram.
     ASUP_TRACE_STAGE(obs::Stage::kShardMatch);
-    const InvertedIndex& shard = ShardAt(snapshot, s);
-    TopK<Entry> shard_top(limit, std::min(most, shard.NumDocuments()));
+    const DocRange range = snapshot.Shard(s);
+    TopK<Entry> shard_top(limit, std::min<size_t>(most, range.hi - range.lo));
     Sink shard_ids(&slots[s].ids, max_ids);
     slots[s].total_matches =
-        StreamShard(shard, ShardBaseAt(snapshot, s), node, score_terms,
-                    context, *scorer_, limit, shard_top, shard_ids);
+        StreamRange(index, range, node, score_terms, context, *scorer_,
+                    limit, shard_top, shard_ids);
     slots[s].top = shard_top.TakeSorted();
   });
 
   // Gather: exact global merge. RankBefore is a strict total order over
   // distinct document ids, so the top-`limit` of the concatenated
   // candidates is unique — bitwise the inline answer. The id lists
-  // concatenate in shard order (ascending, disjoint ranges) when the total
-  // stayed within the bound.
+  // concatenate in partition order (ascending, disjoint ranges) when the
+  // total stayed within the bound.
   {
     ASUP_TRACE_STAGE(obs::Stage::kShardMerge);
     size_t candidates = 0;
@@ -446,42 +410,35 @@ RankedMatches MatchingEngine::WalkIn(const CorpusSnapshot& snapshot,
 
 size_t MatchingEngine::MatchCountNodeIn(const CorpusSnapshot& snapshot,
                                         const QueryNode& node) const {
-  const size_t shards = NumShards(snapshot);
-  size_t total = 0;
-  if (!FansOut(pool_, snapshot, node,
-               [&](TermId term) { return GlobalDf(snapshot, term); })) {
-    for (size_t s = 0; s < shards; ++s) {
-      total += ExecuteCount(ShardAt(snapshot, s), node);
-    }
-    return total;
-  }
+  const InvertedIndex& index = snapshot.index();
+  if (!FansOut(pool_, snapshot, node)) return ExecuteCount(index, node);
+  const size_t shards = snapshot.num_shards();
   std::vector<size_t> counts(shards, 0);
   ForEachShard(shards, [&](size_t s) {
     ASUP_TRACE_STAGE(obs::Stage::kShardMatch);
-    counts[s] = ExecuteCount(ShardAt(snapshot, s), node);
+    counts[s] = ExecuteCountIn(index, snapshot.Shard(s), node);
   });
+  size_t total = 0;
   for (size_t count : counts) total += count;
   return total;
 }
 
 std::vector<DocId> MatchingEngine::MatchIdsNodeIn(
     const CorpusSnapshot& snapshot, const QueryNode& node) const {
-  const size_t shards = NumShards(snapshot);
+  const InvertedIndex& index = snapshot.index();
   std::vector<DocId> ids;
-  if (!FansOut(pool_, snapshot, node,
-               [&](TermId term) { return GlobalDf(snapshot, term); })) {
-    for (size_t s = 0; s < shards; ++s) {
-      AppendMatchIds(ShardAt(snapshot, s), node, ids);
-    }
+  if (!FansOut(pool_, snapshot, node)) {
+    AppendMatchIds(index, index.AllDocs(), node, ids);
     return ids;
   }
+  const size_t shards = snapshot.num_shards();
   std::vector<std::vector<DocId>> slots(shards);
   ForEachShard(shards, [&](size_t s) {
     ASUP_TRACE_STAGE(obs::Stage::kShardMatch);
-    AppendMatchIds(ShardAt(snapshot, s), node, slots[s]);
+    AppendMatchIds(index, snapshot.Shard(s), node, slots[s]);
   });
-  // Shards hold ascending, disjoint DocId ranges; concatenating in shard
-  // order is the one-shard ascending id list.
+  // Partitions are ascending, disjoint id ranges; concatenating them in
+  // order is the whole walk's ascending id list.
   ASUP_TRACE_STAGE(obs::Stage::kShardMerge);
   size_t total = 0;
   for (const auto& slot : slots) total += slot.size();
@@ -498,7 +455,8 @@ std::vector<ScoredDoc> MatchingEngine::ScoreDocs(
     const CorpusSnapshot& snapshot, std::span<const TermId> terms,
     std::span<const DocId> docs, const ScoringFunction& scorer) {
   const Corpus& corpus = snapshot.corpus();
-  const ScoringContext context = GlobalContext(snapshot, terms, scorer);
+  const ScoringContext context =
+      MakeScoringContext(snapshot.index(), terms, scorer);
   std::vector<ScoredDoc> scored;
   scored.reserve(docs.size());
   std::vector<uint32_t> freqs(terms.size(), 0);

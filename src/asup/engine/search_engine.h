@@ -67,11 +67,11 @@ struct MatchOptions {
 /// merge — exact rather than merely equivalent.
 bool RankBefore(const ScoredDoc& a, const ScoredDoc& b);
 
-/// Inline-or-scatter threshold: a query over a pooled N-shard epoch fans
-/// out to the pool only when its estimated postings — the smallest global
+/// Inline-or-scatter threshold: a query over a pooled N-partition epoch
+/// fans out to the pool only when its estimated postings — the smallest
 /// document frequency of an And, the summed one of an Or, the id range of
-/// a Not — reach this many; below it the shards run inline on the calling
-/// thread. Either side returns bitwise the same answer. A judgment, not a
+/// a Not — reach this many; below it the query walks the whole index
+/// inline on the calling thread. Either side returns bitwise the same answer. A judgment, not a
 /// derived crossover: bench_micro_engine BM_ShardedSearch{Inline,Pooled}
 /// (EXPERIMENTS.md) can time the engine's scatter only at and above the
 /// constant. There, on a shared 4-vCPU host, a 4-shard scatter at 32,768
@@ -89,20 +89,20 @@ inline constexpr size_t kFanOutMinPostings = 32768;
 /// public `Search` obeys the restrictive interface model of Section 2.1,
 /// and the defended engines are constructed *around* a MatchingEngine.
 ///
-/// One engine over N >= 1 shards. Every query pins one epoch
-/// (CorpusSnapshot) and reads that epoch's shard list: its sharded view
-/// when it has one, its single index as shard 0 of 1 otherwise. One
-/// per-shard body — walk the iterator tree once, score each match against
-/// the corpus-wide ScoringContext as it passes, keep a bounded top-`limit`
-/// heap — serves every shard count. Shards run inline on the calling
-/// thread, streaming into one heap, unless a ThreadPool is attached and
-/// the query's estimated postings reach kFanOutMinPostings; then the body
-/// fans out to the pool, one heap per shard, and the heaps merge. Because
-/// every shard scores against global statistics and RankBefore is a strict
-/// total order, the answer is bitwise the one-shard answer for any shard
-/// count, pool or scheduling (DESIGN.md §12); so are match counts and the
-/// local-id assignment, so suppression state is byte-identical across
-/// deployments.
+/// One engine over N >= 1 partitions of one index. Every query pins one
+/// epoch (CorpusSnapshot): its one InvertedIndex and its partition count,
+/// each partition a contiguous local-id range of that index. One body —
+/// walk the iterator tree over an id range, score each match against the
+/// index's ScoringContext as it passes, keep a bounded top-`limit` heap —
+/// serves every partition count. A query walks the whole index inline on
+/// the calling thread, unless a ThreadPool is attached, the epoch has more
+/// than one partition and the query's estimated postings reach
+/// kFanOutMinPostings; then the body fans out to the pool, one range and
+/// one heap per partition, and the heaps merge. Every range scores against
+/// the same statistics and RankBefore is a strict total order, so the
+/// answer is bitwise the inline answer for any partition count, pool or
+/// scheduling (DESIGN.md §12); ids, match counts and local ids are the one
+/// index's own, so suppression state is byte-identical across deployments.
 ///
 /// Epoch model: the engine borrows one static index (a never-changing
 /// epoch-0 snapshot) or follows a CorpusManager's epoch chain. The
@@ -117,16 +117,17 @@ class MatchingEngine : public SearchService {
   MatchingEngine(const InvertedIndex& index, size_t k,
                  std::unique_ptr<ScoringFunction> scorer = nullptr);
 
-  /// Over a static sharded `index` (borrowed). `pool` (borrowed, optional)
-  /// runs the per-shard bodies of queries worth fanning out; null runs
-  /// every shard inline, with identical results.
+  /// Over a static sharded `index` (borrowed): the same index, scattered
+  /// over its NumShards() partitions. `pool` (borrowed, optional) runs the
+  /// partitions of queries worth fanning out; null walks every query
+  /// inline, with identical results.
   MatchingEngine(const ShardedInvertedIndex& index, size_t k,
                  ThreadPool* pool = nullptr,
                  std::unique_ptr<ScoringFunction> scorer = nullptr);
 
   /// Over `manager`'s epoch chain (borrowed): every query pins the epoch
-  /// current when it starts, and scatters over its shards when the manager
-  /// maintains a sharded view.
+  /// current when it starts, and may scatter over its partitions
+  /// (CorpusManager::Options::num_shards).
   MatchingEngine(const CorpusManager& manager, size_t k,
                  ThreadPool* pool = nullptr,
                  std::unique_ptr<ScoringFunction> scorer = nullptr);
@@ -139,7 +140,7 @@ class MatchingEngine : public SearchService {
   size_t k() const override { return k_; }
 
   /// Pins the engine's current epoch. Holding the handle keeps the epoch's
-  /// corpus and indexes alive across concurrent publishes.
+  /// corpus and index alive across concurrent publishes.
   SnapshotHandle PinSnapshot() const {
     return manager_ != nullptr ? manager_->Current() : static_snapshot_;
   }
@@ -153,7 +154,7 @@ class MatchingEngine : public SearchService {
 
   // Boolean-tree entry points — the layer every match actually executes
   // through (engine/doc_iterator.h): `node` compiles into an iterator tree
-  // per shard. `score_terms` are the scoring inputs (per-term frequencies
+  // per walk of an id range. `score_terms` are the scoring inputs (per-term frequencies
   // and document frequencies), in query-term order; node.CollectTerms() is
   // the natural choice for free-form trees. `snapshot` must come from this
   // engine's PinSnapshot (now or earlier).
@@ -209,8 +210,8 @@ class MatchingEngine : public SearchService {
   }
 
   /// The one routine that scores given documents: each document's length
-  /// and per-term frequencies come from `snapshot.corpus()`, the global
-  /// statistics from the snapshot's index, so no shard routing is needed.
+  /// and per-term frequencies come from `snapshot.corpus()`, the corpus
+  /// statistics from the snapshot's index.
   /// Returns `docs` scored by `scorer` in RankBefore order. RankDocsIn and
   /// the pipeline's RescoreProcessor both rank through it.
   static std::vector<ScoredDoc> ScoreDocs(const CorpusSnapshot& snapshot,
@@ -252,9 +253,9 @@ class MatchingEngine : public SearchService {
                  size_t k, ThreadPool* pool,
                  std::unique_ptr<ScoringFunction> scorer);
 
-  /// Runs `body(s)` for every shard s of a fan-out on the pool (the calling
-  /// thread participates). `body` must only write to shard-`s`-owned
-  /// slots.
+  /// Runs `body(s)` for every partition s of a fan-out on the pool (the
+  /// calling thread participates). `body` must only write to
+  /// partition-`s`-owned slots.
   void ForEachShard(size_t shards,
                     const std::function<void(size_t)>& body) const;
 
@@ -275,11 +276,11 @@ class MatchingEngine : public SearchService {
 };
 
 /// The single-index deployment: a MatchingEngine whose epochs have one
-/// shard.
+/// partition.
 using PlainSearchEngine = MatchingEngine;
 
 /// The scatter-gather deployment: a MatchingEngine over a sharded index or
-/// a sharded CorpusManager.
+/// a CorpusManager with num_shards partitions.
 using ShardedSearchService = MatchingEngine;
 
 }  // namespace asup

@@ -28,18 +28,9 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Borrow(
 std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Borrow(
     const ShardedInvertedIndex& sharded) {
   auto snap = std::shared_ptr<CorpusSnapshot>(new CorpusSnapshot());
-  snap->sharded_ = &sharded;
+  snap->index_ = &sharded;
+  snap->num_shards_ = sharded.NumShards();
   return snap;
-}
-
-const InvertedIndex& CorpusSnapshot::index() const {
-  ASUP_CHECK(index_ != nullptr);
-  return *index_;
-}
-
-const ShardedInvertedIndex& CorpusSnapshot::sharded() const {
-  ASUP_CHECK(sharded_ != nullptr);
-  return *sharded_;
 }
 
 uint64_t CorpusSnapshot::Fingerprint() const {
@@ -70,13 +61,9 @@ CorpusManager::CorpusManager(Corpus initial, Options options)
   snap->epoch_ = 1;
   auto corpus = std::make_unique<const Corpus>(std::move(initial));
   snap->owned_index_ = std::make_unique<const InvertedIndex>(*corpus);
-  if (options_.num_shards >= 1) {
-    snap->owned_sharded_ = std::make_unique<const ShardedInvertedIndex>(
-        *corpus, options_.num_shards);
-  }
+  snap->num_shards_ = ClampShardCount(options_.num_shards, corpus->size());
   snap->owned_corpus_ = std::move(corpus);
   snap->index_ = snap->owned_index_.get();
-  snap->sharded_ = snap->owned_sharded_.get();
   Publish(std::move(snap));
   ASUP_METRIC_GAUGE_SET("asup_index_epoch_current", 1);
 }
@@ -245,13 +232,9 @@ SnapshotHandle CorpusManager::BuildNextLocked(const CorpusSnapshot& base,
   auto snap = std::shared_ptr<CorpusSnapshot>(new CorpusSnapshot());
   snap->epoch_ = base.epoch() + 1;
   snap->owned_index_ = std::move(index);
-  if (options_.num_shards >= 1) {
-    snap->owned_sharded_ = std::make_unique<const ShardedInvertedIndex>(
-        *corpus, options_.num_shards);
-  }
+  snap->num_shards_ = ClampShardCount(options_.num_shards, corpus->size());
   snap->owned_corpus_ = std::move(corpus);
   snap->index_ = snap->owned_index_.get();
-  snap->sharded_ = snap->owned_sharded_.get();
   return snap;
 }
 

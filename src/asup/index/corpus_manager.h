@@ -20,6 +20,11 @@
 /// indistinguishable from state built against a fresh engine, and state_io
 /// snapshots stay byte-stable.
 ///
+/// Every epoch holds exactly one InvertedIndex. A sharded deployment
+/// (Options::num_shards) is that same index plus a partition count: shards
+/// are contiguous local-id ranges of it (index/sharded_index.h), so a
+/// publish merges one index and rebuilds nothing per shard.
+///
 /// Epoch numbering: snapshots borrowed from a static index (the legacy
 /// construction path, `CorpusSnapshot::Borrow`) are epoch 0 and never
 /// change; a manager's initial snapshot is epoch 1 and every published
@@ -38,19 +43,20 @@
 
 namespace asup {
 
-/// One immutable epoch: a corpus plus its index(es), either owned (built by
-/// a CorpusManager) or borrowed from a caller-owned static index. All
+/// One immutable epoch: a corpus, its one index and the partition count
+/// queries scatter over, the storage either owned (built by a
+/// CorpusManager) or borrowed from a caller-owned static index. All
 /// accessors are const and safe to call from any thread for the lifetime of
 /// the handle.
 class CorpusSnapshot {
  public:
-  /// Wraps a caller-owned static index as an epoch-0 snapshot (a
-  /// MatchingEngine over a static index). Borrowed; `index` must outlive
+  /// Wraps a caller-owned static index as a one-partition epoch-0 snapshot
+  /// (a MatchingEngine over a static index). Borrowed; `index` must outlive
   /// every handle.
   static std::shared_ptr<const CorpusSnapshot> Borrow(
       const InvertedIndex& index);
 
-  /// Same, for a sharded deployment.
+  /// Same, keeping the sharded index's partition count.
   static std::shared_ptr<const CorpusSnapshot> Borrow(
       const ShardedInvertedIndex& sharded);
 
@@ -61,39 +67,30 @@ class CorpusSnapshot {
   uint64_t epoch() const { return epoch_; }
 
   /// The epoch's corpus.
-  const Corpus& corpus() const {
-    return index_ != nullptr ? index_->corpus() : sharded_->corpus();
-  }
+  const Corpus& corpus() const { return index_->corpus(); }
 
   /// Number of documents in this epoch.
-  size_t NumDocuments() const {
-    return index_ != nullptr ? index_->NumDocuments()
-                             : sharded_->NumDocuments();
-  }
+  size_t NumDocuments() const { return index_->NumDocuments(); }
 
   /// Dense local id of a document in this epoch; aborts if absent.
-  uint32_t LocalOf(DocId id) const {
-    return index_ != nullptr ? index_->LocalOf(id) : sharded_->LocalOf(id);
-  }
+  uint32_t LocalOf(DocId id) const { return index_->LocalOf(id); }
 
   /// Universe DocId for this epoch's dense local id.
-  DocId LocalToId(uint32_t local) const {
-    return index_ != nullptr ? index_->LocalToId(local)
-                             : sharded_->LocalToId(local);
-  }
+  DocId LocalToId(uint32_t local) const { return index_->LocalToId(local); }
 
   /// True if the document exists in this epoch.
   bool Contains(DocId id) const { return corpus().Contains(id); }
 
-  /// Single-index view. Manager-built snapshots always have one; borrowed
-  /// sharded snapshots do not.
-  bool has_index() const { return index_ != nullptr; }
-  const InvertedIndex& index() const;
+  /// The epoch's index.
+  const InvertedIndex& index() const { return *index_; }
 
-  /// Sharded view (present when the manager was configured with shards, or
-  /// the snapshot borrows a sharded index).
-  bool has_sharded() const { return sharded_ != nullptr; }
-  const ShardedInvertedIndex& sharded() const;
+  /// Number of scatter partitions of the index, in [1, max(n, 1)].
+  size_t num_shards() const { return num_shards_; }
+
+  /// Partition `s`'s local-id range (ShardRange). Requires s < num_shards().
+  DocRange Shard(size_t s) const {
+    return ShardRange(NumDocuments(), num_shards_, s);
+  }
 
   /// Order-independent content fingerprint of the corpus: hashes every
   /// (id, length, terms) in ascending-DocId order. Two snapshots with equal
@@ -109,20 +106,19 @@ class CorpusSnapshot {
 
   uint64_t epoch_ = 0;
   /// Owned storage, populated only for manager-built snapshots. Order
-  /// matters for destruction: indexes borrow the corpus, so the corpus
+  /// matters for destruction: the index borrows the corpus, so the corpus
   /// member is declared first (destroyed last).
   std::unique_ptr<const Corpus> owned_corpus_;
   std::unique_ptr<const InvertedIndex> owned_index_;
-  std::unique_ptr<const ShardedInvertedIndex> owned_sharded_;
-  /// Views (into owned storage or a borrowed static index).
+  /// View into owned storage or a borrowed static index; never null.
   const InvertedIndex* index_ = nullptr;
-  const ShardedInvertedIndex* sharded_ = nullptr;
+  size_t num_shards_ = 1;
   /// 0 = not yet computed (Fingerprint never returns 0).
   mutable std::atomic<uint64_t> fingerprint_{0};
 };
 
 /// Shared, immutable handle to one epoch. Cheap to copy; holding one pins
-/// the epoch's corpus and indexes alive regardless of later publishes.
+/// the epoch's corpus and index alive regardless of later publishes.
 using SnapshotHandle = std::shared_ptr<const CorpusSnapshot>;
 
 /// Owns the chain of corpus epochs and builds successors from deltas.
@@ -135,12 +131,11 @@ using SnapshotHandle = std::shared_ptr<const CorpusSnapshot>;
 class CorpusManager {
  public:
   struct Options {
-    /// >= 1: additionally maintain a ShardedInvertedIndex with this many
-    /// shards on every snapshot; a MatchingEngine over the manager then
-    /// scatters over them.
-    /// The sharded view is rebuilt per epoch — range repartitioning moves
-    /// documents across shards, so there is no incremental win to merge —
-    /// while the single index is merged incrementally.
+    /// Scatter partition count of every epoch, clamped per epoch by
+    /// ClampShardCount (0 and 1 both mean one partition). A MatchingEngine
+    /// over the manager scatters a query over the epoch's index in this
+    /// many id ranges. Partitions are ranges of the one incrementally
+    /// merged index, so a publish builds nothing per partition.
     size_t num_shards = 0;
     /// Runs ApplyAsync batches; borrowed, must outlive the manager.
     ThreadPool* pool = nullptr;

@@ -7,23 +7,10 @@
 
 namespace asup {
 
-namespace {
-
-std::vector<const Document*> AllDocuments(const Corpus& corpus) {
+InvertedIndex::InvertedIndex(const Corpus& corpus) : corpus_(&corpus) {
   std::vector<const Document*> docs;
   docs.reserve(corpus.size());
   for (const auto& doc : corpus.documents()) docs.push_back(&doc);
-  return docs;
-}
-
-}  // namespace
-
-InvertedIndex::InvertedIndex(const Corpus& corpus)
-    : InvertedIndex(corpus, AllDocuments(corpus)) {}
-
-InvertedIndex::InvertedIndex(const Corpus& corpus,
-                             std::vector<const Document*> docs)
-    : corpus_(&corpus) {
   std::sort(docs.begin(), docs.end(),
             [](const Document* a, const Document* b) {
               return a->id() < b->id();
@@ -43,7 +30,7 @@ InvertedIndex::InvertedIndex(const Corpus& corpus,
   }
 
   stats_.num_documents = docs_by_local_.size();
-  // An empty (sub)corpus has average length 0 by definition — the 0/0 NaN
+  // An empty corpus has average length 0 by definition — the 0/0 NaN
   // would otherwise leak through BM25 into CSV reports.
   stats_.average_doc_length =
       docs_by_local_.empty()

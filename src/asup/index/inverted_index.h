@@ -18,6 +18,13 @@ struct IndexStats {
   double average_doc_length = 0.0;
 };
 
+/// A contiguous range [lo, hi) of an index's local ids: the whole index, or
+/// one scatter partition of it (index/sharded_index.h).
+struct DocRange {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+};
+
 /// Immutable inverted index over a corpus: the storage layer of the
 /// enterprise search engine substrate.
 ///
@@ -30,17 +37,16 @@ class InvertedIndex {
   /// Builds the index over the whole corpus; O(total tokens).
   explicit InvertedIndex(const Corpus& corpus);
 
-  /// Builds the index over a subset of `corpus` (each document borrowed
-  /// from it) — the per-shard constructor used by ShardedInvertedIndex.
-  /// Local ids follow ascending document id within the subset, and stats()
-  /// describes the subset only.
-  InvertedIndex(const Corpus& corpus, std::vector<const Document*> docs);
-
   InvertedIndex(const InvertedIndex&) = delete;
   InvertedIndex& operator=(const InvertedIndex&) = delete;
 
   /// Number of indexed documents.
   size_t NumDocuments() const { return docs_by_local_.size(); }
+
+  /// The range of every local id, [0, NumDocuments()).
+  DocRange AllDocs() const {
+    return {0, static_cast<uint32_t>(docs_by_local_.size())};
+  }
 
   /// The indexed corpus.
   const Corpus& corpus() const { return *corpus_; }

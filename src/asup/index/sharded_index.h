@@ -1,87 +1,56 @@
 #ifndef ASUP_INDEX_SHARDED_INDEX_H_
 #define ASUP_INDEX_SHARDED_INDEX_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "asup/index/inverted_index.h"
 #include "asup/text/corpus.h"
 
 namespace asup {
 
-/// A corpus partitioned into N per-shard InvertedIndex instances by
-/// ascending-DocId range — the storage layer of the scatter-gather query
-/// engine (see DESIGN.md §12, "Sharded execution").
+/// Scatter partitions of one index (DESIGN.md §12, "Sharded execution").
 ///
-/// Partitioning rule: documents are sorted by ascending universe DocId and
-/// split into contiguous ranges of near-equal size (shard s holds
-/// [s·n/N, (s+1)·n/N)). Because ranges are contiguous and in id order, the
-/// concatenation of shard-local id spaces *is* the single-index local id
-/// space: global local id = ShardBase(s) + shard-local id. Θ_R bitmaps,
-/// state snapshots, and every other dense-id consumer are therefore
-/// byte-identical between a sharded and a single-index deployment.
-///
-/// Corpus-wide statistics (document count, average length, per-term
-/// document frequency) are computed over the *whole* corpus with the same
-/// arithmetic as a single InvertedIndex, so scoring against them is
-/// bitwise identical too. Per-shard stats() remain available on each
-/// shard for capacity planning; stats().posting_bytes of this index is the
-/// sum of the shards' compressed sizes (sharding changes deltas and block
-/// boundaries, so it differs slightly from a single index's).
-class ShardedInvertedIndex {
+/// A shard is not a separate index: it is a contiguous range of one
+/// InvertedIndex's local ids, and a scatter task walks the whole index's
+/// iterator tree from the range's first id to its end. Ids, statistics and
+/// posting bytes are therefore the one index's own, and so are Θ_R bitmaps,
+/// state snapshots and scores. The partition count only decides how a query
+/// that fans out divides its walk.
+
+/// `requested` clamped to [1, max(num_documents, 1)], so every partition of
+/// a non-empty index holds at least one document (an empty index has one
+/// empty partition).
+inline size_t ClampShardCount(size_t requested, size_t num_documents) {
+  return std::max<size_t>(
+      1, std::min(requested, std::max<size_t>(num_documents, 1)));
+}
+
+/// Partition `s` of `num_shards` near-equal contiguous ranges over
+/// `num_documents` local ids: [s·n/N, (s+1)·n/N). Ranges are in id order,
+/// disjoint and covering, and their sizes differ by at most one.
+inline DocRange ShardRange(size_t num_documents, size_t num_shards,
+                           size_t s) {
+  return {static_cast<uint32_t>(s * num_documents / num_shards),
+          static_cast<uint32_t>((s + 1) * num_documents / num_shards)};
+}
+
+/// A static sharded deployment: one InvertedIndex over `corpus` plus its
+/// clamped partition count, which a MatchingEngine built over it scatters
+/// across.
+class ShardedInvertedIndex : public InvertedIndex {
  public:
-  /// Builds `num_shards` (>= 1, clamped to the document count when the
-  /// corpus is larger than empty) per-shard indexes over `corpus`
-  /// (borrowed; must outlive the index).
-  ShardedInvertedIndex(const Corpus& corpus, size_t num_shards);
+  /// Builds the index over `corpus` (borrowed; must outlive the index) and
+  /// keeps `num_shards` clamped by ClampShardCount.
+  ShardedInvertedIndex(const Corpus& corpus, size_t num_shards)
+      : InvertedIndex(corpus),
+        num_shards_(ClampShardCount(num_shards, NumDocuments())) {}
 
-  ShardedInvertedIndex(const ShardedInvertedIndex&) = delete;
-  ShardedInvertedIndex& operator=(const ShardedInvertedIndex&) = delete;
-
-  size_t NumShards() const { return shards_.size(); }
-
-  /// Shard `s`'s index. Requires s < NumShards().
-  const InvertedIndex& Shard(size_t s) const { return *shards_[s]; }
-
-  /// Global local id of shard `s`'s first document (prefix document
-  /// count). ShardBase(NumShards()) is the total document count.
-  uint32_t ShardBase(size_t s) const { return bases_[s]; }
-
-  /// Number of indexed documents across all shards.
-  size_t NumDocuments() const { return bases_.back(); }
-
-  /// The indexed corpus.
-  const Corpus& corpus() const { return *corpus_; }
-
-  /// Corpus-wide statistics, identical to a single InvertedIndex over the
-  /// same corpus (except posting_bytes; see class comment).
-  const IndexStats& stats() const { return stats_; }
-
-  /// Document frequency of `term` across the whole corpus (the sum of the
-  /// per-shard frequencies, which partition the postings).
-  size_t DocumentFrequency(TermId term) const;
-
-  /// Shard holding global local id `local`. Requires local < NumDocuments().
-  size_t ShardOfLocal(uint32_t local) const;
-
-  /// Universe DocId for a global local id.
-  DocId LocalToId(uint32_t local) const;
-
-  /// Global local id for a universe DocId; aborts if not indexed.
-  uint32_t LocalOf(DocId id) const;
+  size_t NumShards() const { return num_shards_; }
 
  private:
-  const Corpus* corpus_;
-  std::vector<std::unique_ptr<InvertedIndex>> shards_;
-  /// bases_[s] = number of documents in shards < s, plus one sentinel
-  /// entry at the end holding the total.
-  std::vector<uint32_t> bases_;
-  /// First universe DocId of each shard, ascending (the shard count is
-  /// clamped to the document count, so shards are only empty when the
-  /// corpus is); routes LocalOf by binary search.
-  std::vector<DocId> shard_first_id_;
-  IndexStats stats_;
+  size_t num_shards_;
 };
 
 }  // namespace asup

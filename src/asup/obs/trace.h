@@ -53,8 +53,8 @@ enum class Stage : uint8_t {
   kHistoryRecord,   // AS-ARBI history append (exclusive lock)
   kPrefetch,        // BatchExecutor deterministic-mode parallel prefetch
   kCommit,          // BatchExecutor deterministic-mode serial commit
-  kShardMatch,      // scatter: match + local top-k on one index shard
-  kShardMerge,      // gather: exact global merge of per-shard candidates
+  kShardMatch,      // scatter: match + local top-k on one id partition
+  kShardMerge,      // gather: exact global merge of per-partition candidates
   kEpochBuild,      // CorpusManager: incremental merge of the next epoch
   kEpochMigrate,    // suppression-state migration to a newer corpus epoch
 };

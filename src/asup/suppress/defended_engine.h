@@ -81,7 +81,7 @@ struct DefendedStats {
 };
 
 /// The defended search engine: one of the paper's run-time defenses over a
-/// MatchingEngine with any number of shards; suppression always runs
+/// MatchingEngine with any number of partitions; suppression always runs
 /// post-merge on the one logical corpus the base presents.
 ///
 /// All three defenses share one state: Θ_R (the documents returned so

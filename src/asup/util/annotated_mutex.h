@@ -41,7 +41,7 @@
 ///     legal atomic update under a shared lock would be rejected. Document
 ///     such fields with a comment naming the lock that guards reassignment.
 ///   - Dynamically-selected capabilities (a mutex picked from an array by
-///     hash, as in ShardedMutex) cannot be named by `ASUP_GUARDED_BY`.
+///     hash) cannot be named by `ASUP_GUARDED_BY`.
 ///     Embed the mutex next to the data it guards (one `Mutex` per shard
 ///     struct) so the annotation can refer to a sibling member.
 

@@ -87,8 +87,7 @@ TEST(CorpusSnapshotTest, BorrowedStaticIndexIsEpochZero) {
   const InvertedIndex index(corpus);
   const SnapshotHandle snapshot = CorpusSnapshot::Borrow(index);
   EXPECT_EQ(snapshot->epoch(), 0u);
-  EXPECT_TRUE(snapshot->has_index());
-  EXPECT_FALSE(snapshot->has_sharded());
+  EXPECT_EQ(snapshot->num_shards(), 1u);
   EXPECT_EQ(snapshot->NumDocuments(), corpus.size());
   EXPECT_EQ(&snapshot->index(), &index);
   EXPECT_NE(snapshot->Fingerprint(), 0u);
@@ -189,25 +188,23 @@ TEST(CorpusManagerTest, FingerprintIsContentNotHistory) {
   EXPECT_NE(two_steps.Apply(removal)->Fingerprint(), a->Fingerprint());
 }
 
-TEST(CorpusManagerTest, ShardedViewFollowsEveryEpoch) {
+TEST(CorpusManagerTest, ShardedEpochHoldsOneFreshEquivalentIndex) {
   SyntheticCorpusGenerator generator(SmallConfig(11));
   CorpusManager::Options options;
   options.num_shards = 3;
   CorpusManager manager(generator.Generate(200), options);
-  ASSERT_TRUE(manager.Current()->has_sharded());
-  ASSERT_TRUE(manager.Current()->has_index());
+  EXPECT_EQ(manager.Current()->num_shards(), 3u);
 
   const CorpusDelta delta =
       MakeDelta(generator, manager.Current()->corpus(), 40, 20);
   const SnapshotHandle snapshot = manager.Apply(delta);
-  ASSERT_TRUE(snapshot->has_sharded());
-  EXPECT_EQ(snapshot->sharded().NumDocuments(), snapshot->NumDocuments());
-  EXPECT_EQ(snapshot->sharded().NumShards(), 3u);
+  EXPECT_EQ(snapshot->num_shards(), 3u);
 
-  // The engine over the manager scatters over the epoch's three shards and
-  // answers bitwise like an engine over a fresh single index of the same
-  // corpus.
+  // The epoch's one index — its three partitions are ranges of it — is
+  // byte-equal to a fresh index of the same corpus, and the engine over
+  // the manager answers bitwise like an engine over that fresh index.
   const InvertedIndex fresh(snapshot->corpus());
+  ExpectIndexesBitwiseEqual(snapshot->index(), fresh);
   PlainSearchEngine plain(fresh, 5);
   ShardedSearchService sharded(manager, 5);
   const KeywordQuery query =

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -203,6 +204,127 @@ TEST(QueryAlgebraShapesTest, GeneralTreesHaveNoAlignedTerms) {
   const QueryNode node =
       QueryNode::Or({QueryNode::Term(2), QueryNode::Term(9)});
   EXPECT_TRUE(CompileQuery(index, node).aligned_terms.empty());
+}
+
+// Range walks (ForEachMatchIn / ExecuteCountIn) are what a scatter
+// partition runs: walking [lo, hi) must yield exactly the whole walk's
+// matches in the range, with the same frequencies, and the range count
+// must equal their number.
+void ExpectRangeWalkIsRestriction(const InvertedIndex& index,
+                                  const QueryNode& node,
+                                  OrStrategy strategy,
+                                  const std::vector<DocRange>& ranges) {
+  const std::vector<TermId> terms = node.CollectTerms();
+  const MatchList whole = ExecuteMatch(index, node, terms, strategy);
+  for (const DocRange& range : ranges) {
+    SCOPED_TRACE(testing::Message()
+                 << "[" << range.lo << ", " << range.hi << ")");
+    std::vector<uint32_t> expected_docs;
+    std::vector<uint32_t> expected_freqs;
+    for (size_t i = 0; i < whole.size(); ++i) {
+      const uint32_t local = whole.local_docs[i];
+      if (local < range.lo || local >= range.hi) continue;
+      expected_docs.push_back(local);
+      const auto freqs = whole.FreqsOf(i);
+      expected_freqs.insert(expected_freqs.end(), freqs.begin(), freqs.end());
+    }
+    std::vector<uint32_t> docs;
+    std::vector<uint32_t> freqs;
+    ForEachMatchIn(
+        index, range, node, terms,
+        [&](uint32_t local, std::span<const uint32_t> match_freqs) {
+          docs.push_back(local);
+          freqs.insert(freqs.end(), match_freqs.begin(), match_freqs.end());
+        },
+        strategy);
+    EXPECT_EQ(docs, expected_docs);
+    EXPECT_EQ(freqs, expected_freqs);
+    EXPECT_EQ(ExecuteCountIn(index, range, node, strategy),
+              expected_docs.size());
+  }
+}
+
+// Local ids at and next to the block boundaries of `term`'s posting list:
+// the first doc of every block but the first, one below and one above it,
+// and one past the previous block's last doc.
+std::vector<uint32_t> BlockBoundaryIds(const InvertedIndex& index,
+                                       TermId term) {
+  const std::vector<Posting> postings = index.Postings(term).Decode();
+  std::vector<uint32_t> ids;
+  for (size_t i = PostingList::kPostingBlock; i < postings.size();
+       i += PostingList::kPostingBlock) {
+    const uint32_t first = postings[i].local_doc;
+    ids.insert(ids.end(),
+               {first - 1, first, first + 1, postings[i - 1].local_doc + 1});
+  }
+  return ids;
+}
+
+TEST(RangeWalkTest, RangeWalkIsTheWholeWalkRestricted) {
+  const Corpus corpus = SmallCorpus(31, 1500);
+  const InvertedIndex index(corpus);
+  const uint32_t n = static_cast<uint32_t>(index.NumDocuments());
+
+  // The two densest terms span several posting blocks; a third, rarer
+  // one widens the Or to the heap's crossover.
+  std::vector<TermId> by_df(corpus.vocabulary().size());
+  for (TermId t = 0; t < by_df.size(); ++t) by_df[t] = t;
+  std::stable_sort(by_df.begin(), by_df.end(), [&](TermId x, TermId y) {
+    return index.DocumentFrequency(x) > index.DocumentFrequency(y);
+  });
+  const TermId a = by_df[0], b = by_df[1], c = by_df[by_df.size() / 2];
+  ASSERT_GT(index.Postings(b).NumSkipEntries(), 2u);
+  const auto term = [](TermId t) { return QueryNode::Term(t); };
+
+  std::vector<uint32_t> bounds = {0, 1, n / 2, n - 1, n};
+  for (TermId t : {a, b}) {
+    for (uint32_t id : BlockBoundaryIds(index, t)) bounds.push_back(id);
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  ASSERT_LE(bounds.back(), n);
+  std::vector<DocRange> ranges;
+  for (uint32_t lo : bounds) {
+    ranges.push_back({lo, lo});  // empty
+    ranges.push_back({lo, n});   // to the end of the index
+    ranges.push_back({0, lo});
+  }
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    ranges.push_back({bounds[i], bounds[i + 1]});
+    if (i + 3 < bounds.size()) ranges.push_back({bounds[i], bounds[i + 3]});
+  }
+
+  const std::vector<QueryNode> trees = {
+      term(a),
+      QueryNode::And({term(a), term(b)}),
+      QueryNode::And({term(a), term(b), term(c)}),
+      QueryNode::Or({term(a), term(c)}),
+      QueryNode::Or({term(a), term(b), term(c)}),
+      QueryNode::Not(term(a)),
+      QueryNode::And({term(b), QueryNode::Not(term(a))}),
+      QueryNode::Not(QueryNode::Or({term(a), term(b)})),
+      QueryNode::MakeEmpty(),
+  };
+  for (size_t i = 0; i < trees.size(); ++i) {
+    SCOPED_TRACE(i);
+    for (const OrStrategy strategy : {OrStrategy::kFlat, OrStrategy::kHeap}) {
+      ExpectRangeWalkIsRestriction(index, trees[i], strategy, ranges);
+    }
+  }
+
+  // Random trees over random ranges.
+  Rng rng(23);
+  for (int round = 0; round < 40; ++round) {
+    const QueryNode node = RandomTree(rng, corpus.vocabulary().size(), 3);
+    std::vector<DocRange> random_ranges;
+    for (int r = 0; r < 8; ++r) {
+      const auto x = static_cast<uint32_t>(rng.UniformBelow(n + 1));
+      const auto y = static_cast<uint32_t>(rng.UniformBelow(n + 1));
+      random_ranges.push_back({std::min(x, y), std::max(x, y)});
+    }
+    ExpectRangeWalkIsRestriction(index, node, OrStrategy::kAdaptive,
+                                 random_ranges);
+  }
 }
 
 }  // namespace

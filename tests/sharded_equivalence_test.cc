@@ -82,17 +82,21 @@ TEST(ShardedIndexTest, PartitionInvariants) {
     ShardedInvertedIndex sharded(*rig.corpus, shards);
     ASSERT_EQ(sharded.NumShards(), shards);
     EXPECT_EQ(sharded.NumDocuments(), rig.index->NumDocuments());
+    const SnapshotHandle snapshot = CorpusSnapshot::Borrow(sharded);
+    ASSERT_EQ(snapshot->num_shards(), shards);
+    const size_t n = sharded.NumDocuments();
     size_t total = 0;
     for (size_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(sharded.ShardBase(s), total);
-      total += sharded.Shard(s).NumDocuments();
+      const DocRange range = snapshot->Shard(s);
+      // Contiguous and covering: each range starts where the last ended.
+      EXPECT_EQ(range.lo, total);
+      ASSERT_LE(range.lo, range.hi);
+      total = range.hi;
       // Near-equal ranges: sizes differ by at most one document.
-      EXPECT_GE(sharded.Shard(s).NumDocuments(),
-                sharded.NumDocuments() / shards);
-      EXPECT_LE(sharded.Shard(s).NumDocuments(),
-                sharded.NumDocuments() / shards + 1);
+      EXPECT_GE(range.hi - range.lo, n / shards);
+      EXPECT_LE(range.hi - range.lo, n / shards + 1);
     }
-    EXPECT_EQ(total, sharded.NumDocuments());
+    EXPECT_EQ(total, n);
   }
 }
 
@@ -102,6 +106,12 @@ TEST(ShardedIndexTest, ShardCountClampedToCorpusSize) {
   EXPECT_EQ(sharded.NumShards(), 3u);
   ShardedInvertedIndex zero(*rig.corpus, 0);
   EXPECT_EQ(zero.NumShards(), 1u);
+  // [1, n], and one (empty) partition over an empty index.
+  EXPECT_EQ(ClampShardCount(4, 3), 3u);
+  EXPECT_EQ(ClampShardCount(2, 3), 2u);
+  EXPECT_EQ(ClampShardCount(4, 0), 1u);
+  EXPECT_EQ(ShardRange(0, 1, 0).lo, 0u);
+  EXPECT_EQ(ShardRange(0, 1, 0).hi, 0u);
 }
 
 TEST(ShardedIndexTest, GlobalStatsMatchSingleIndex) {
@@ -112,6 +122,9 @@ TEST(ShardedIndexTest, GlobalStatsMatchSingleIndex) {
     EXPECT_EQ(sharded.stats().num_documents, single.num_documents);
     EXPECT_EQ(sharded.stats().num_terms, single.num_terms);
     EXPECT_EQ(sharded.stats().num_postings, single.num_postings);
+    // Partitions are ranges of one index, so its postings are the single
+    // index's, byte for byte.
+    EXPECT_EQ(sharded.stats().posting_bytes, single.posting_bytes);
     // Bitwise: the average is computed with the same arithmetic.
     EXPECT_EQ(sharded.stats().average_doc_length, single.average_doc_length);
     for (TermId t = 0; t < rig.corpus->vocabulary().size(); ++t) {
@@ -129,11 +142,6 @@ TEST(ShardedIndexTest, LocalIdSpaceIsSingleIndexLocalIdSpace) {
     for (uint32_t local = 0; local < n; ++local) {
       EXPECT_EQ(sharded.LocalToId(local), rig.index->LocalToId(local));
       EXPECT_EQ(sharded.LocalOf(sharded.LocalToId(local)), local);
-      const size_t s = sharded.ShardOfLocal(local);
-      ASSERT_LT(s, sharded.NumShards());
-      EXPECT_EQ(sharded.ShardBase(s) +
-                    sharded.Shard(s).LocalOf(sharded.LocalToId(local)),
-                local);
     }
   }
 }
@@ -555,17 +563,17 @@ TEST_P(ShardedEngineEquivalenceTest, CarriedLocalsAndBoundedIdsFromOneWalk) {
 }
 
 TEST(OneShardEngineTest, OneShardDeploymentsAnswerAsTheSingleIndex) {
-  // The single index is the 1-shard case of the one engine. Both 1-shard
-  // deployments — a CorpusManager maintaining a 1-shard view and a static
-  // 1-shard ShardedInvertedIndex — take the engine's one-shard path and
-  // must answer, rank and evolve defense state exactly like the engine
+  // The single index is the 1-partition case of the one engine. Both
+  // 1-partition deployments — a CorpusManager with num_shards 1 and a
+  // static 1-partition ShardedInvertedIndex — take the engine's inline path
+  // and must answer, rank and evolve defense state exactly like the engine
   // over the single index.
   Rig rig = MakeTopicalRig(600, 5);
   CorpusManager::Options options;
   options.num_shards = 1;
   CorpusManager manager(
       Corpus(rig.corpus->vocabulary_ptr(), rig.corpus->documents()), options);
-  ASSERT_EQ(manager.Current()->sharded().NumShards(), 1u);
+  ASSERT_EQ(manager.Current()->num_shards(), 1u);
   ShardedInvertedIndex static_index(*rig.corpus, 1);
   ShardedSearchService over_manager(manager, rig.engine->k());
   ShardedSearchService over_static(static_index, rig.engine->k());

@@ -8,7 +8,6 @@
 
 #include "asup/util/annotated_mutex.h"
 #include "asup/util/atomic_bitmap.h"
-#include "asup/util/sharded_mutex.h"
 
 namespace asup {
 namespace {
@@ -119,22 +118,6 @@ TEST(AtomicBitmapTest, ConcurrentTestAndSetElectsOneWinnerPerBit) {
   });
   EXPECT_EQ(wins.load(), kBits);
   EXPECT_EQ(bitmap.Count(), kBits);
-}
-
-TEST(ShardedMutexTest, ShardsArePowerOfTwoAndStable) {
-  ShardedMutex mutexes(10);
-  EXPECT_EQ(mutexes.num_shards(), 16u);
-  const size_t shard = mutexes.ShardOf(12345);
-  EXPECT_EQ(mutexes.ShardOf(12345), shard);
-  EXPECT_LT(shard, mutexes.num_shards());
-  MutexLock lock(mutexes.MutexFor(12345));
-}
-
-TEST(ShardedMutexTest, LockAllAcquiresEveryShard) {
-  ShardedMutex mutexes(4);
-  auto locks = mutexes.LockAll();
-  EXPECT_EQ(locks.size(), mutexes.num_shards());
-  for (const auto& lock : locks) EXPECT_TRUE(lock.owns_lock());
 }
 
 }  // namespace
