@@ -44,8 +44,10 @@ class DocIterator {
 };
 
 /// Leaf: streams one term's posting list, exposing the in-document
-/// frequency the scoring function needs.
-class TermIterator : public DocIterator {
+/// frequency the scoring function needs. Final, so a walk that holds the
+/// concrete type (ForEachMatchIn's bare-term loop) steps it without
+/// virtual calls.
+class TermIterator final : public DocIterator {
  public:
   TermIterator(const PostingList& list, TermId term)
       : it_(&list), size_(list.size()), term_(term) {}
@@ -199,6 +201,13 @@ struct CompiledQuery {
   /// term is indexed: the distinct TermIterators, rarest-first, owned by
   /// `root` and aligned at root->Doc() whenever root is Valid().
   std::vector<const TermIterator*> aligned_terms;
+
+  /// The root as its concrete TermIterator when the tree is one indexed
+  /// term (its single aligned term is then the root itself); else null.
+  TermIterator* BareTerm() const {
+    return aligned_terms.size() == 1 ? static_cast<TermIterator*>(root.get())
+                                     : nullptr;
+  }
 };
 
 /// Compiles `node` against `index`. Duplicate term children of an And are
@@ -228,6 +237,8 @@ class MatchFreqReader {
         // Aligned conjunction: the iterator sits on this very document.
         freqs_[pos] = aligned_[pos]->Freq();
       } else {
+        // A scoring term outside the aligned conjunction (general trees).
+        // NOLINTNEXTLINE(asup-walk-docat): term-map fallback, no column
         if (doc == nullptr) doc = &index_.DocAt(local_doc);
         freqs_[pos] = doc->FrequencyOf(terms_[pos]);
       }
@@ -242,6 +253,18 @@ class MatchFreqReader {
   std::vector<uint32_t> freqs_;
 };
 
+/// The one match loop: steps `root` from `range.lo` and calls
+/// `visit(local_doc, read(local_doc))` for each match below `range.hi`.
+/// Instantiated for the concrete TermIterator and for DocIterator.
+template <typename Iterator, typename Read, typename Visit>
+void WalkRange(Iterator& root, DocRange range, Read&& read, Visit& visit) {
+  for (root.SkipTo(range.lo); root.Valid(); root.Next()) {
+    const uint32_t local = root.Doc();
+    if (local >= range.hi) break;
+    visit(local, read(local));
+  }
+}
+
 }  // namespace detail
 
 /// The one match walk: compiles `node` against `index`, skips to
@@ -252,19 +275,32 @@ class MatchFreqReader {
 /// compiled against the whole index, so a Not complements over every
 /// document and the range keeps exactly its own share of that complement:
 /// the walks of disjoint covering ranges partition the whole walk.
+///
+/// A bare term (every one-word KeywordQuery) whose `freq_terms` are empty
+/// or exactly that term walks its concrete TermIterator and reads the
+/// frequency off the current posting; every other walk steps the tree
+/// through DocIterator and reads through MatchFreqReader.
 template <typename Visit>
 void ForEachMatchIn(const InvertedIndex& index, DocRange range,
                     const QueryNode& node, std::span<const TermId> freq_terms,
                     Visit&& visit,
                     OrStrategy strategy = OrStrategy::kAdaptive) {
   const CompiledQuery query = CompileQuery(index, node, strategy);
-  detail::MatchFreqReader reader(index, query, freq_terms);
-  DocIterator& root = *query.root;
-  for (root.SkipTo(range.lo); root.Valid(); root.Next()) {
-    const uint32_t local = root.Doc();
-    if (local >= range.hi) break;
-    visit(local, reader.Read(local));
+  TermIterator* term = query.BareTerm();
+  if (term != nullptr &&
+      (freq_terms.empty() ||
+       (freq_terms.size() == 1 && freq_terms[0] == term->term()))) {
+    uint32_t freq = 0;
+    const auto read = [&](uint32_t) {
+      freq = term->Freq();
+      return std::span<const uint32_t>(&freq, freq_terms.size());
+    };
+    detail::WalkRange(*term, range, read, visit);
+    return;
   }
+  detail::MatchFreqReader reader(index, query, freq_terms);
+  const auto read = [&](uint32_t local) { return reader.Read(local); };
+  detail::WalkRange(*query.root, range, read, visit);
 }
 
 /// ForEachMatchIn over every document of `index`.

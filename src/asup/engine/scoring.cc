@@ -24,8 +24,7 @@ double ScoringFunction::Score(const InvertedIndex& index,
                               uint32_t local_doc,
                               std::span<const uint32_t> freqs) const {
   const ScoringContext context = MakeScoringContext(index, terms, *this);
-  return ScoreMatch(context,
-                    static_cast<double>(index.DocAt(local_doc).length()),
+  return ScoreMatch(context, static_cast<double>(index.LengthAt(local_doc)),
                     freqs);
 }
 

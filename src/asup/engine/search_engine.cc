@@ -197,13 +197,12 @@ size_t StreamRange(const InvertedIndex& index, DocRange range,
   ForEachMatchIn(index, range, node, score_terms,
                  [&](uint32_t local, std::span<const uint32_t> freqs) {
                    ++matches;
-                   const Document& doc = index.DocAt(local);
-                   top.Push({doc.id(),
-                             scorer.ScoreMatch(
-                                 context, static_cast<double>(doc.length()),
-                                 freqs)},
+                   const DocId id = index.LocalToId(local);
+                   const auto length =
+                       static_cast<double>(index.LengthAt(local));
+                   top.Push({id, scorer.ScoreMatch(context, length, freqs)},
                             local);
-                   ids.Offer(doc.id());
+                   ids.Offer(id);
                  });
   return matches;
 }

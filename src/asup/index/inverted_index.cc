@@ -52,8 +52,13 @@ InvertedIndex::InvertedIndex(const Corpus& corpus) : corpus_(&corpus) {
 void InvertedIndex::SetDocsByLocal(std::vector<const Document*> docs) {
   docs_by_local_ = std::move(docs);
   ids_by_local_.clear();
+  lengths_by_local_.clear();
   ids_by_local_.reserve(docs_by_local_.size());
-  for (const Document* doc : docs_by_local_) ids_by_local_.push_back(doc->id());
+  lengths_by_local_.reserve(docs_by_local_.size());
+  for (const Document* doc : docs_by_local_) {
+    ids_by_local_.push_back(doc->id());
+    lengths_by_local_.push_back(doc->length());
+  }
 }
 
 uint32_t InvertedIndex::LocalOf(DocId id) const {

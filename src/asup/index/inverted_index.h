@@ -59,6 +59,10 @@ class InvertedIndex {
   /// Universe DocId for a local id.
   DocId LocalToId(uint32_t local) const { return ids_by_local_[local]; }
 
+  /// Token count of the document at a local id, from the flat length
+  /// column: equal to DocAt(local).length() without touching the Document.
+  uint32_t LengthAt(uint32_t local) const { return lengths_by_local_[local]; }
+
   /// Local id for a universe DocId; aborts if the document is not indexed.
   /// Binary-searches the flat id array, touching no Document.
   uint32_t LocalOf(DocId id) const;
@@ -85,7 +89,8 @@ class InvertedIndex {
   InvertedIndex() = default;
   friend class CorpusManager;
 
-  /// Sets docs_by_local_ and its id mirror ids_by_local_.
+  /// Sets docs_by_local_ and its flat columns ids_by_local_ and
+  /// lengths_by_local_.
   void SetDocsByLocal(std::vector<const Document*> docs);
 
   const Corpus* corpus_ = nullptr;
@@ -93,6 +98,9 @@ class InvertedIndex {
   /// docs_by_local_[local]->id(), ascending: LocalOf and LocalToId read
   /// this instead of dereferencing one Document per step.
   std::vector<DocId> ids_by_local_;
+  /// docs_by_local_[local]->length(): the match walk scores each match
+  /// from the two flat columns, never from its Document.
+  std::vector<uint32_t> lengths_by_local_;
   std::vector<PostingList> postings_;  // indexed by TermId
   PostingList empty_list_;
   IndexStats stats_;

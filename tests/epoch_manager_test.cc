@@ -58,6 +58,10 @@ void ExpectIndexesBitwiseEqual(const InvertedIndex& a,
   ASSERT_EQ(a.NumDocuments(), b.NumDocuments());
   for (uint32_t local = 0; local < a.NumDocuments(); ++local) {
     ASSERT_EQ(a.LocalToId(local), b.LocalToId(local)) << "local " << local;
+    // The flat length column the match walk scores from.
+    ASSERT_EQ(a.LengthAt(local), b.LengthAt(local)) << "local " << local;
+    ASSERT_EQ(a.LengthAt(local), a.DocAt(local).length()) << "local " << local;
+    ASSERT_EQ(b.LengthAt(local), b.DocAt(local).length()) << "local " << local;
   }
   EXPECT_EQ(a.stats().num_documents, b.stats().num_documents);
   EXPECT_EQ(a.stats().num_terms, b.stats().num_terms);

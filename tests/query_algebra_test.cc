@@ -94,6 +94,48 @@ Corpus SmallCorpus(uint64_t seed, size_t docs) {
   return generator.Generate(docs);
 }
 
+// A tree that compiles to one indexed term walks the concrete
+// TermIterator when its `freq_terms` are empty (the engine's id-only walk)
+// or exactly that term, and the general loop otherwise. Both sides of that
+// selection must yield the oracle's documents in each range, with each
+// document's true frequency of every scoring term.
+void ExpectBareTermWalksMatchOracle(const InvertedIndex& index,
+                                    const QueryNode& node, TermId other,
+                                    const std::vector<DocRange>& ranges) {
+  const CompiledQuery compiled = CompileQuery(index, node);
+  ASSERT_NE(compiled.BareTerm(), nullptr);
+  const TermId t = compiled.BareTerm()->term();
+  const std::vector<std::vector<TermId>> freq_term_sets = {
+      {}, {t}, {t, t}, {other}, {other, t}};
+  for (const DocRange& range : ranges) {
+    std::vector<uint32_t> expected_docs;
+    for (uint32_t local = range.lo; local < range.hi; ++local) {
+      if (index.DocAt(local).Contains(t)) expected_docs.push_back(local);
+    }
+    for (const std::vector<TermId>& freq_terms : freq_term_sets) {
+      SCOPED_TRACE(testing::Message()
+                   << "[" << range.lo << ", " << range.hi << ") with "
+                   << freq_terms.size() << " scoring terms");
+      std::vector<uint32_t> expected_freqs;
+      for (const uint32_t local : expected_docs) {
+        for (const TermId term : freq_terms) {
+          expected_freqs.push_back(index.DocAt(local).FrequencyOf(term));
+        }
+      }
+      std::vector<uint32_t> docs;
+      std::vector<uint32_t> freqs;
+      ForEachMatchIn(index, range, node, freq_terms,
+                     [&](uint32_t local, std::span<const uint32_t> match) {
+                       ASSERT_EQ(match.size(), freq_terms.size());
+                       docs.push_back(local);
+                       freqs.insert(freqs.end(), match.begin(), match.end());
+                     });
+      EXPECT_EQ(docs, expected_docs);
+      EXPECT_EQ(freqs, expected_freqs);
+    }
+  }
+}
+
 void ExpectTreeMatchesOracle(const InvertedIndex& index,
                              const QueryNode& node) {
   const std::set<uint32_t> expected_set = Oracle(index, node);
@@ -117,6 +159,11 @@ void ExpectTreeMatchesOracle(const InvertedIndex& index,
       EXPECT_EQ(matches.FreqsOf(i)[t],
                 index.DocAt(matches.local_docs[i]).FrequencyOf(terms[t]));
     }
+  }
+  const CompiledQuery compiled = CompileQuery(index, node);
+  if (compiled.BareTerm() != nullptr) {
+    ExpectBareTermWalksMatchOracle(index, node, compiled.BareTerm()->term() + 1,
+                                   {index.AllDocs()});
   }
 }
 
@@ -311,6 +358,8 @@ TEST(RangeWalkTest, RangeWalkIsTheWholeWalkRestricted) {
       ExpectRangeWalkIsRestriction(index, trees[i], strategy, ranges);
     }
   }
+  ExpectBareTermWalksMatchOracle(index, term(a), b, ranges);
+  ExpectBareTermWalksMatchOracle(index, term(b), c, ranges);
 
   // Random trees over random ranges.
   Rng rng(23);

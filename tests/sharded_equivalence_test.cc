@@ -340,6 +340,7 @@ RankedMatches OracleTop(const InvertedIndex& index, const QueryNode& node,
   RankedMatches out;
   out.total_matches = matches.size();
   for (size_t i = 0; i < matches.size(); ++i) {
+    // Through DocAt, not the flat columns: the independent check of them.
     const Document& doc = index.DocAt(matches.local_docs[i]);
     out.docs.push_back(
         {doc.id(), scorer->ScoreMatch(context,

@@ -76,6 +76,13 @@ Rules (all scoped to src/ unless noted):
                            reintroduces a second, divergent decoder). Go
                            through PostingList::Iterator / Decode() or the
                            blockcodec Encode/TryDecodeBlock entry points.
+  asup-walk-docat          src/asup/engine/: no DocAt() call. The match
+                           walk reads each match's id and length from the
+                           index's flat per-local columns (LocalToId,
+                           LengthAt); DocAt dereferences a 32-byte Document
+                           per match, the cache miss those columns remove.
+                           The one sanctioned call is MatchFreqReader's
+                           term-map fallback for general trees.
   asup-raw-assert          validation-critical paths (src/asup/index/,
                            src/asup/suppress/, src/asup/text/,
                            src/asup/engine/, src/asup/eval/): a raw
@@ -149,6 +156,8 @@ LOG_RATIO_RE = re.compile(
 # itself these must not appear anywhere in the index layer.
 POSTING_VARBYTE_RE = re.compile(
     r"\b(?:AppendVarByte|TryReadVarByte|ReadVarByte)\s*\(")
+# A Document lookup by local id, banned from the engine's match walk.
+WALK_DOCAT_RE = re.compile(r"\bDocAt\s*\(")
 LOCKED_DECL_RE = re.compile(
     r"^\s*(?!return\b|throw\b|co_return\b)"
     r"(?:[\w:<>,*&~\[\]]+\s+)+((?:\w+::)*\w*Locked)\s*\(")
@@ -329,6 +338,15 @@ def lint_file(path, rel, findings):
                     "block codec TU; posting payloads are group-varint "
                     "blocks — use PostingList::Iterator/Decode() or the "
                     "blockcodec entry points")
+
+    if "asup/engine/" in posix_rel:
+        for lineno, line in enumerate(clean_lines, 1):
+            if WALK_DOCAT_RE.search(line) and \
+                    not is_suppressed(lineno, "asup-walk-docat"):
+                findings.add(
+                    rel, lineno, "asup-walk-docat",
+                    "DocAt() in the engine dereferences a Document per "
+                    "match; read InvertedIndex::LocalToId / LengthAt")
 
     check_locked_requires(clean_lines, is_suppressed, rel, findings)
 
