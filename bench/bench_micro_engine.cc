@@ -81,17 +81,16 @@ void BM_PlainSearch(benchmark::State& state) {
 BENCHMARK(BM_PlainSearch);
 
 // The composable chain run end to end with the optional engine-layer
-// stages attached (pluggable TF-IDF ranker + facet histogram) — the cost
-// of stage dispatch plus rescoring, against BM_PlainSearch's monolithic
-// interface call as the baseline.
-void BM_PipelineRescoreFacet(benchmark::State& state) {
+// re-ranking stage attached (pluggable TF-IDF ranker) — the cost of stage
+// dispatch plus rescoring, against BM_PlainSearch's monolithic interface
+// call as the baseline.
+void BM_PipelineRescore(benchmark::State& state) {
   MicroEnv& env = Env();
   const auto& log = env.workload->log();
   ProcessorChain chain;
   chain.Add(std::make_unique<MatchProcessor>())
       .Add(std::make_unique<InterfaceStatusProcessor>())
-      .Add(std::make_unique<RescoreProcessor>(std::make_unique<TfIdfScorer>()))
-      .Add(std::make_unique<FacetCountProcessor>(16));
+      .Add(std::make_unique<RescoreProcessor>(std::make_unique<TfIdfScorer>()));
   const SnapshotHandle snapshot = env.engine->PinSnapshot();
   size_t i = 0;
   for (auto _ : state) {
@@ -103,12 +102,11 @@ void BM_PipelineRescoreFacet(benchmark::State& state) {
     context.match_limit = env.engine->k();
     chain.Run(context);
     benchmark::DoNotOptimize(context.result.docs.size());
-    benchmark::DoNotOptimize(context.facet_buckets.size());
     i = (i + 1) % log.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PipelineRescoreFacet);
+BENCHMARK(BM_PipelineRescore);
 
 void BM_AsSimpleSearch(benchmark::State& state) {
   MicroEnv& env = Env();

@@ -22,7 +22,7 @@ AnswerCache::Claim AnswerCache::LookupOrClaim(const std::string& key,
 #if ASUP_METRICS_ENABLED
   // A cache hit is the sub-µs fast path; the stage span's two clock reads
   // would be its dominant cost, so span it only for actively traced
-  // queries. The counters below stay on (one relaxed add each).
+  // queries. A hit is counted by the caller's recorder, not here.
   std::optional<obs::ScopedStageTimer> span;
   if (obs::ActiveTrace() != nullptr) {
     span.emplace(obs::Stage::kCacheLookup);
@@ -38,10 +38,6 @@ AnswerCache::Claim AnswerCache::LookupOrClaim(const std::string& key,
       return Claim::kOwned;
     }
     if (it->second.ready()) {
-      ASUP_METRIC_COUNT("asup_engine_cache_hits_total", 1,
-                        "Answer-cache hits on the locked claim path only; "
-                        "lock-free repeat hits count in engine stats");
-      ASUP_METRICS_ONLY(if (span) { ASUP_TRACE_NOTE("cache_hit", 1); })
       *out = it->second.result;
       return Claim::kHit;
     }

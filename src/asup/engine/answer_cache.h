@@ -66,10 +66,11 @@ class AnswerCache {
 
   /// Copies a *ready* answer computed in `epoch` to `out`. Never blocks on
   /// a claim, never claims. `hash` must be HashString(key). Unlike
-  /// LookupOrClaim it opens no span and bumps no metric: it is the repeat
-  /// path a defended engine takes before any lock, where each extra cache
-  /// line touched shows in the benchmark's hit latency, and the engine
-  /// counts the hit in its own stats and kCacheHit event.
+  /// LookupOrClaim it opens no span: it is the repeat path a defended
+  /// engine takes before any lock, where each extra cache line touched
+  /// shows in the benchmark's hit latency. Neither entry point counts a
+  /// hit; the defended engine's recorder does, in its stats and kCacheHit
+  /// event.
   bool Lookup(uint64_t hash, const std::string& key, uint64_t epoch,
               SearchResult* out) const;
 

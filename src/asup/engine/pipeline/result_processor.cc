@@ -1,25 +1,16 @@
 #include "asup/engine/pipeline/result_processor.h"
 
-#include <algorithm>
-#include <map>
-
 #include "asup/obs/trace.h"
 #include "asup/util/check.h"
 
 namespace asup {
 
 RankedMatches QueryContext::TopMatches(size_t limit, size_t max_ids) const {
-  const MatchOptions options{carry_locals, max_ids};
-  if (node != nullptr) {
-    const std::vector<TermId>& terms =
-        score_terms != nullptr ? *score_terms : query->terms();
-    return base->TopMatchesNodeIn(*snapshot, *node, terms, limit, options);
-  }
-  return base->TopMatchesIn(*snapshot, *query, limit, options);
+  return base->TopMatchesIn(*snapshot, *query, limit,
+                            MatchOptions{carry_locals, max_ids});
 }
 
 size_t QueryContext::MatchCount() const {
-  if (node != nullptr) return base->MatchCountNodeIn(*snapshot, *node);
   return base->MatchCountIn(*snapshot, *query);
 }
 
@@ -105,17 +96,6 @@ void RescoreProcessor::Process(QueryContext& context) const {
   for (const ScoredDoc& entry : docs) ids.push_back(entry.doc);
   docs = MatchingEngine::ScoreDocs(*context.snapshot, context.query->terms(),
                                    ids, *scorer_);
-}
-
-void FacetCountProcessor::Process(QueryContext& context) const {
-  if (context.result.docs.empty()) return;
-  const Corpus& corpus = context.snapshot->corpus();
-  std::map<uint64_t, size_t> buckets;
-  for (const ScoredDoc& entry : context.result.docs) {
-    const uint64_t length = corpus.Get(entry.doc).length();
-    ++buckets[(length / bucket_width_) * bucket_width_];
-  }
-  context.facet_buckets.assign(buckets.begin(), buckets.end());
 }
 
 const ProcessorChain& InterfaceProcessorChain() {

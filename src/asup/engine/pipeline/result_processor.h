@@ -17,6 +17,30 @@ namespace asup {
 // pointer so the engine layer never depends on the suppression layer.
 class IndistinguishableSegment;
 
+/// Who answered a cover defense's query, when a defense stage did.
+enum class AnsweredBy : uint8_t {
+  kNone,      // cache, underflow, or AS-SIMPLE (which records no answerer)
+  kSimple,    // the hiding stages (AS-ARBI / AS-DECLINE fall-through)
+  kVirtual,   // virtual query processing over a cover (AS-ARBI)
+  kDeclined,  // refused for a cover (AS-DECLINE)
+};
+
+/// The fixed-size outcome record of one defended query.
+struct QueryOutcome {
+  uint64_t docs_hidden = 0;
+  uint64_t docs_reshown = 0;
+  uint64_t docs_trimmed = 0;
+  /// Historic answers in the cover; nonzero iff a cover was found.
+  uint32_t cover_answers_used = 0;
+  /// The query passed the hiding stages' guard: it gets a segment probe.
+  bool probe_ready = false;
+  /// Algorithm 2's trigger was size-plausible and evaluated.
+  bool trigger_evaluated = false;
+  AnsweredBy answered_by = AnsweredBy::kNone;
+
+  bool covered() const { return cover_answers_used != 0; }
+};
+
 /// Per-query state threaded through a ProcessorChain — the RediSearch
 /// result_processor.c shape: one mutable context, a fixed sequence of small
 /// stages, each reading what upstream stages produced and writing what
@@ -27,15 +51,6 @@ class IndistinguishableSegment;
 struct QueryContext {
   // --- inputs, set by the engine before Run ---
   const KeywordQuery* query = nullptr;
-  /// Boolean query tree overriding `query`'s match semantics: when set,
-  /// the match stages compile and execute this tree (through the node
-  /// entry points of MatchingEngine) instead of lowering `query`'s
-  /// conjunction. Null for every conjunctive caller — `query` then lowers
-  /// to its And-of-terms tree inside the engine, same algebra either way.
-  const QueryNode* node = nullptr;
-  /// Scoring terms for `node` (per-term frequency/df inputs); null means
-  /// query->terms(). Ignored when `node` is null.
-  const std::vector<TermId>* score_terms = nullptr;
   MatchingEngine* base = nullptr;
   /// The epoch every match/rank call resolves against. Required: every
   /// chain runs against a pinned epoch (ProcessorChain::Run checks it).
@@ -75,29 +90,20 @@ struct QueryContext {
   // --- answer state ---
   /// Working answer list between the suppression stages.
   std::vector<ScoredDoc> docs;
+  /// Union of the covering historic answers, extracted under the history
+  /// lock by the cover stage so the virtual-answer stage needs no lock.
+  std::vector<DocId> cover_pool;
   SearchResult result;
   /// Set once `result` is final (underflow, decline, virtual answer, or a
   /// status stage ran): later answer-producing stages skip themselves;
   /// stages with RunsWhenFinished() still run.
   bool finished = false;
 
-  // --- observables consumed by the shared recording stage ---
-  uint64_t docs_hidden = 0;
-  uint64_t docs_reshown = 0;
-  uint64_t docs_trimmed = 0;
-  /// Emit a kSegmentProbe for this query (|Sel(q)| went through the
-  /// suppression path).
-  bool probe_ready = false;
-  bool cover_found = false;
-  size_t cover_answers_used = 0;
-  /// Union of the covering historic answers, extracted under the history
-  /// lock by the cover stage so the virtual-answer stage needs no lock.
-  std::vector<DocId> cover_pool;
-  bool virtual_answered = false;
-
-  // --- aggregation output (FacetCountProcessor) ---
-  /// (bucket lower bound, count) pairs, ascending by bucket.
-  std::vector<std::pair<uint64_t, size_t>> facet_buckets;
+  /// The defended query's facts. The stages set them and write no stats,
+  /// metric, trace note or event of their own; the defense's recorder
+  /// (DefenseRecordProcessor) writes every channel from this one record.
+  /// |Sel(q)| is `match_count`.
+  QueryOutcome outcome;
 
   // Match helpers resolving against the pinned epoch. TopMatches carries
   // local ids when `carry_locals` is set, and collects the ids of up to
@@ -121,7 +127,7 @@ class ResultProcessor {
   virtual void Process(QueryContext& context) const = 0;
 
   /// Whether the stage still runs after `context.finished` is set
-  /// (recording and aggregation stages do; answer-producing ones do not).
+  /// (recording and re-ranking stages do; answer-producing ones do not).
   virtual bool RunsWhenFinished() const { return false; }
 };
 
@@ -195,23 +201,6 @@ class RescoreProcessor : public ResultProcessor {
 
  private:
   std::unique_ptr<ScoringFunction> scorer_;
-};
-
-/// Aggregation stage: histograms the answer's documents by token length
-/// into fixed-width buckets (facet_buckets, ascending). The faceted /
-/// aggregation scenario the chain makes cheap: it composes after any
-/// status stage, defended or not, and reads only the context.
-class FacetCountProcessor : public ResultProcessor {
- public:
-  explicit FacetCountProcessor(uint64_t bucket_width)
-      : bucket_width_(bucket_width == 0 ? 1 : bucket_width) {}
-
-  const char* name() const override { return "facet_count"; }
-  bool RunsWhenFinished() const override { return true; }
-  void Process(QueryContext& context) const override;
-
- private:
-  uint64_t bucket_width_;
 };
 
 /// The undefended interface chain (match → interface status) shared by

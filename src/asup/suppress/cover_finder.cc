@@ -99,6 +99,7 @@ CoverResult CoverFinder::Find(const std::vector<DocId>& match_ids) const {
   const std::vector<Candidate> candidates = GatherCandidates(match_ids);
   ASUP_METRIC_OBSERVE_SIZE("asup_suppress_cover_candidates",
                            candidates.size());
+  // NOLINTNEXTLINE(asup-record-once): the cover search's own diagnostics
   ASUP_TRACE_NOTE("cover_candidates", candidates.size());
   if (candidates.empty()) return result;
 
@@ -190,6 +191,7 @@ CoverResult CoverFinder::ExactCover(const std::vector<Candidate>& candidates,
   CoverResult result;
   const bool found = search.Dfs();
   ASUP_METRIC_OBSERVE_SIZE("asup_suppress_exact_cover_nodes", search.nodes);
+  // NOLINTNEXTLINE(asup-record-once): the cover search's own diagnostics
   ASUP_TRACE_NOTE("exact_cover_nodes", search.nodes);
   if (!found) return result;
   // Exact-cover postcondition (σ = 100%): every matching document covered

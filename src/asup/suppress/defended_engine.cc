@@ -11,15 +11,6 @@
 
 namespace asup {
 
-namespace {
-
-void EmitCacheHit(const KeywordQuery& query, const SearchResult& cached) {
-  ASUP_EVENT_EMIT(kCacheHit, query.client_id(), query.hash(),
-                  cached.docs.size(), 0);
-}
-
-}  // namespace
-
 DefendedEngine::DefendedEngine(MatchingEngine& base,
                                const AsSimpleConfig& config)
     : DefendedEngine(base, DefenseAlgorithm::kSimple,
@@ -57,26 +48,24 @@ DefendedEngine::DefendedEngine(MatchingEngine& base,
     // Algorithm 2's trigger runs on the count alone; only a query it does
     // not cover reaches the hiding stages.
     chain_.Add(std::make_unique<MatchCountProcessor>())
-        .Add(std::make_unique<SelSizeNoteProcessor>())
         .Add(std::make_unique<UnderflowGuardProcessor>())
-        .Add(std::make_unique<CoverProcessor>(history_, counters_,
-                                              max_match_ids_));
+        .Add(std::make_unique<CoverProcessor>(history_, max_match_ids_));
     if (defense == DefenseAlgorithm::kArbi) {
-      chain_.Add(std::make_unique<VirtualAnswerProcessor>(
-          history_, returned_before_, counters_));
+      chain_.Add(std::make_unique<VirtualAnswerProcessor>(history_,
+                                                          returned_before_));
     } else {
-      chain_.Add(std::make_unique<DeclineProcessor>(counters_));
+      chain_.Add(std::make_unique<DeclineProcessor>());
     }
   }
   chain_.Add(std::make_unique<MatchProcessor>())
       .Add(std::make_unique<SuppressGuardProcessor>())
-      .Add(std::make_unique<HideProcessor>(returned_before_, coin_, counters_))
-      .Add(std::make_unique<TrimProcessor>(counters_))
+      .Add(std::make_unique<HideProcessor>(returned_before_, coin_))
+      .Add(std::make_unique<TrimProcessor>())
       .Add(std::make_unique<EmulatedStatusProcessor>());
   if (defense != DefenseAlgorithm::kSimple) {
-    chain_.Add(std::make_unique<HistoryRecordProcessor>(history_, counters_));
+    chain_.Add(std::make_unique<HistoryRecordProcessor>(history_));
   }
-  chain_.Add(std::make_unique<DefenseRecordProcessor>());
+  chain_.Add(std::make_unique<DefenseRecordProcessor>(counters_));
 }
 
 DefendedStats DefendedEngine::stats() const {
@@ -84,9 +73,8 @@ DefendedStats DefendedEngine::stats() const {
     return counter.load(std::memory_order_relaxed);
   };
   DefendedStats snapshot;
-  const uint64_t fast_hits = load(counters_.fast_hits);
-  snapshot.queries_processed = fast_hits + load(counters_.locked_queries);
-  snapshot.cache_hits = fast_hits + load(counters_.locked_hits);
+  snapshot.cache_hits = load(counters_.cache_hits);
+  snapshot.queries_processed = snapshot.cache_hits + load(counters_.computed);
   snapshot.docs_hidden = load(counters_.docs_hidden);
   snapshot.docs_trimmed = load(counters_.docs_trimmed);
   snapshot.epoch_migrations = load(counters_.epoch_migrations);
@@ -163,12 +151,10 @@ SearchResult DefendedEngine::SearchImpl(const KeywordQuery& query,
     SearchResult cached;
     if (answer_cache_.Lookup(query.hash(), query.canonical(),
                              base_->CurrentEpoch(), &cached)) {
-      counters_.fast_hits.fetch_add(1, std::memory_order_relaxed);
-      EmitCacheHit(query, cached);
+      DefenseRecordProcessor::RecordHit(counters_, query, cached);
       return cached;
     }
   }
-  counters_.locked_queries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       ReaderLock lock(epoch_mutex_);
@@ -190,8 +176,7 @@ SearchResult DefendedEngine::SearchStateLocked(const KeywordQuery& query,
     SearchResult cached;
     if (answer_cache_.LookupOrClaim(query.canonical(), &cached) ==
         AnswerCache::Claim::kHit) {
-      counters_.locked_hits.fetch_add(1, std::memory_order_relaxed);
-      EmitCacheHit(query, cached);
+      DefenseRecordProcessor::RecordHit(counters_, query, cached);
       return cached;
     }
   }
@@ -267,7 +252,8 @@ void DefendedEngine::MigrateTo(const SnapshotHandle& target) {
   // epoch lock has quiesced every prescreen reader.
   if (defense_ != DefenseAlgorithm::kSimple) {
     WriterLock history_lock(history_.mutex);
-    history_.CompactTo(to);
+    const size_t history_dropped = history_.CompactTo(to);
+    ASUP_TRACE_NOTE("epoch_history_dropped", history_dropped);
   }
 
   // The per-epoch determinism contract: answers computed under the old μ,

@@ -92,9 +92,9 @@ struct DefendedStats {
 ///
 ///   AS-SIMPLE:  match → guard → hide → trim → emulated status →
 ///               record
-///   AS-ARBI:    match count → sel-size note → underflow guard →
-///               cover → virtual → match → guard → hide → trim →
-///               emulated status → history → record
+///   AS-ARBI:    match count → underflow guard → cover → virtual →
+///               match → guard → hide → trim → emulated status →
+///               history → record
 ///   AS-DECLINE: the AS-ARBI chain with `virtual` replaced by `decline`
 ///
 /// AS-SIMPLE, per query q with match set Sel(q): M(q) = the min(|q|, γ·k)
@@ -212,7 +212,7 @@ class DefendedEngine : public PrefetchableService {
       ASUP_EXCLUDES(epoch_mutex_, history_.mutex);
 
   // The lock-free hit path reads only the first members, through
-  // counters_.fast_hits; they stay together so a repeat touches as few
+  // counters_.cache_hits; they stay together so a repeat touches as few
   // cache lines of the engine as possible.
   MatchingEngine* base_;
   DefenseAlgorithm defense_;

@@ -70,7 +70,7 @@ void DefenseHistory::Replace(HistoryStore store) {
   RefreshMirrors();
 }
 
-void DefenseHistory::CompactTo(const CorpusSnapshot& to) {
+size_t DefenseHistory::CompactTo(const CorpusSnapshot& to) {
   // Rebuild the store keeping the original record order, so surviving
   // entries keep their relative indices and the cover search's tie-breaks
   // stay deterministic. Deleted documents can never be matched (they left
@@ -95,7 +95,7 @@ void DefenseHistory::CompactTo(const CorpusSnapshot& to) {
   }
   store_ = std::move(compacted);
   RefreshMirrors();
-  ASUP_TRACE_NOTE("epoch_history_dropped", dropped_entries);
+  return dropped_entries;
 }
 
 void DefenseHistory::RefreshMirrors() {
@@ -119,7 +119,7 @@ void SuppressGuardProcessor::Process(QueryContext& context) const {
   }
   // Every query that reaches the suppression stages gets a segment probe
   // (the watchtower's selectivity-stratum feature).
-  context.probe_ready = true;
+  context.outcome.probe_ready = true;
 }
 
 void HideProcessor::Process(QueryContext& context) const {
@@ -160,18 +160,8 @@ void HideProcessor::Process(QueryContext& context) const {
       }
     }
   }
-  if (hidden != 0) {
-    counters_->docs_hidden.fetch_add(hidden, std::memory_order_relaxed);
-  }
-  ASUP_METRIC_COUNT("asup_suppress_docs_hidden_total", hidden);
-  ASUP_METRIC_COUNT("asup_suppress_docs_reshown_total", reshown);
-  ASUP_TRACE_NOTE("match_count", ranked.total_matches);
-  ASUP_TRACE_NOTE("docs_hidden", hidden);
-  ASUP_TRACE_NOTE("docs_reshown", reshown);
-  ASUP_TRACE_NOTE("mu", context.segment->mu());
-  ASUP_TRACE_NOTE("gamma", context.segment->gamma());
-  context.docs_hidden = hidden;
-  context.docs_reshown = reshown;
+  context.outcome.docs_hidden = hidden;
+  context.outcome.docs_reshown = reshown;
   // Θ_R monotonicity: TestAndSet only ever sets bits, so after the loop
   // every document of M(q) — kept, hidden, or about to be trimmed — is
   // activated (Algorithm 1 runs line 14 after the loop; §5.1 depends on
@@ -197,11 +187,7 @@ void TrimProcessor::Process(QueryContext& context) const {
   ASUP_CHECK_LE(lhs_target, m_size);
   const size_t keep = std::min(lhs_target, context.k);
   if (context.docs.size() > keep) {
-    const uint64_t trimmed = context.docs.size() - keep;
-    counters_->docs_trimmed.fetch_add(trimmed, std::memory_order_relaxed);
-    ASUP_METRIC_COUNT("asup_suppress_docs_trimmed_total", trimmed);
-    ASUP_TRACE_NOTE("docs_trimmed", trimmed);
-    context.docs_trimmed = trimmed;
+    context.outcome.docs_trimmed = context.docs.size() - keep;
     context.docs.resize(keep);
   }
   // Line 14 postcondition: the answer is capped at min(|M(q)|/μ, k).
@@ -225,12 +211,72 @@ void EmulatedStatusProcessor::Process(QueryContext& context) const {
 }
 
 void DefenseRecordProcessor::Process(QueryContext& context) const {
-  const KeywordQuery& query = *context.query;
-  if (context.docs_hidden != 0) {
-    ASUP_EVENT_EMIT(kAnswerHidden, query.client_id(), query.hash(),
-                    context.docs_hidden, 0);
+  const QueryOutcome& outcome = context.outcome;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  // Trace notes go to an actively traced query only: one thread-local
+  // load decides for all of them.
+  bool traced = false;
+  ASUP_METRICS_ONLY(traced = obs::ActiveTrace() != nullptr;)
+
+  // Each fact in turn: the counter behind stats(), its `asup_suppress_*`
+  // metric, its trace note.
+  counters_->computed.fetch_add(1, kRelaxed);
+  if (traced) ASUP_TRACE_NOTE("sel_size", context.match_count);
+  if (outcome.probe_ready) {
+    if (outcome.docs_hidden != 0) {
+      counters_->docs_hidden.fetch_add(outcome.docs_hidden, kRelaxed);
+    }
+    ASUP_METRIC_COUNT("asup_suppress_docs_hidden_total", outcome.docs_hidden);
+    ASUP_METRIC_COUNT("asup_suppress_docs_reshown_total",
+                      outcome.docs_reshown);
+    if (traced) {
+      ASUP_TRACE_NOTE("docs_hidden", outcome.docs_hidden);
+      ASUP_TRACE_NOTE("docs_reshown", outcome.docs_reshown);
+      ASUP_TRACE_NOTE("mu", context.segment->mu());
+      ASUP_TRACE_NOTE("gamma", context.segment->gamma());
+    }
   }
-  if (context.probe_ready) {
+  if (outcome.docs_trimmed != 0) {
+    counters_->docs_trimmed.fetch_add(outcome.docs_trimmed, kRelaxed);
+    ASUP_METRIC_COUNT("asup_suppress_docs_trimmed_total",
+                      outcome.docs_trimmed);
+    if (traced) ASUP_TRACE_NOTE("docs_trimmed", outcome.docs_trimmed);
+  }
+  if (outcome.trigger_evaluated) {
+    counters_->trigger_evaluations.fetch_add(1, kRelaxed);
+    ASUP_METRIC_COUNT("asup_suppress_arbi_trigger_evals_total", 1);
+    if (traced) ASUP_TRACE_NOTE("trigger_evaluated", 1);
+  }
+  if (outcome.covered() && traced) {
+    ASUP_TRACE_NOTE("cover_answers_used", outcome.cover_answers_used);
+  }
+  switch (outcome.answered_by) {
+    case AnsweredBy::kNone:
+      break;
+    case AnsweredBy::kSimple:
+      counters_->simple_answers.fetch_add(1, kRelaxed);
+      ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
+      if (traced) ASUP_TRACE_NOTE("simple_answer", 1);
+      break;
+    case AnsweredBy::kVirtual:
+      counters_->virtual_answers.fetch_add(1, kRelaxed);
+      ASUP_METRIC_COUNT("asup_suppress_arbi_virtual_answers_total", 1);
+      if (traced) ASUP_TRACE_NOTE("virtual_answer", 1);
+      break;
+    case AnsweredBy::kDeclined:
+      counters_->declined.fetch_add(1, kRelaxed);
+      ASUP_METRIC_COUNT("asup_suppress_declined_total", 1);
+      if (traced) ASUP_TRACE_NOTE("declined", 1);
+      break;
+  }
+
+  // Events, in the watchtower's fixed order.
+  const KeywordQuery& query = *context.query;
+  if (outcome.docs_hidden != 0) {
+    ASUP_EVENT_EMIT(kAnswerHidden, query.client_id(), query.hash(),
+                    outcome.docs_hidden, 0);
+  }
+  if (outcome.probe_ready) {
     // The query's selectivity stratum: which γ-segment |Sel(q)| falls into.
     // Estimators that walk the answer-size strata (stratified, dynamic)
     // hop between strata far more often than bona fide traffic, which
@@ -243,29 +289,23 @@ void DefenseRecordProcessor::Process(QueryContext& context) const {
                         context.match_count, context.segment->gamma()),
                     context.match_count);
   }
-  if (context.docs_trimmed != 0) {
+  if (outcome.docs_trimmed != 0) {
     ASUP_EVENT_EMIT(kAnswerTrimmed, query.client_id(), query.hash(),
-                    context.docs_trimmed, 0);
+                    outcome.docs_trimmed, 0);
   }
-  if (context.cover_found) {
+  if (outcome.covered()) {
     ASUP_EVENT_EMIT(kCoverFound, query.client_id(), query.hash(),
-                    context.cover_answers_used, context.match_ids->size());
+                    outcome.cover_answers_used, context.match_count);
   }
-  if (context.virtual_answered) {
+  if (outcome.answered_by == AnsweredBy::kVirtual) {
     ASUP_EVENT_EMIT(kVirtualAnswer, query.client_id(), query.hash(),
-                    context.result.docs.size(), context.cover_answers_used);
+                    context.result.docs.size(), outcome.cover_answers_used);
   }
-}
-
-void SelSizeNoteProcessor::Process(QueryContext& context) const {
-  // |Sel(q)|; AS-SIMPLE notes its own "match_count" when we fall through.
-  ASUP_TRACE_NOTE("sel_size", context.match_count);
 }
 
 void CoverProcessor::Process(QueryContext& context) const {
   if (!history_->TriggerPlausible(context.match_count, context.k)) return;
-  counters_->trigger_evaluations.fetch_add(1, std::memory_order_relaxed);
-  ASUP_METRIC_COUNT("asup_suppress_arbi_trigger_evals_total", 1);
+  context.outcome.trigger_evaluated = true;
   // Lock-free pre-screen: with no recorded answer, or fewer documents
   // ever disclosed than the coverage target, no cover can exist — skip
   // the history lock entirely.
@@ -293,12 +333,11 @@ void CoverProcessor::Process(QueryContext& context) const {
     cover = history_->Find(*context.match_ids);
   }
   if (!cover.found) return;
-  ASUP_TRACE_NOTE("cover_answers_used", cover.query_indices.size());
   // Algorithm 2's cover contract: at most m historic answers...
   ASUP_CHECK(!cover.query_indices.empty());
   ASUP_CHECK_LE(cover.query_indices.size(), history_->cover_size());
-  context.cover_found = true;
-  context.cover_answers_used = cover.query_indices.size();
+  context.outcome.cover_answers_used =
+      static_cast<uint32_t>(cover.query_indices.size());
   // Union of the covering historic answers, read while still holding the
   // history lock (shared side) the cover search ran under.
   const HistoryStore& store = history_->store();
@@ -315,9 +354,8 @@ void CoverProcessor::Process(QueryContext& context) const {
 }
 
 void VirtualAnswerProcessor::Process(QueryContext& context) const {
-  if (!context.cover_found) return;
-  counters_->virtual_answers.fetch_add(1, std::memory_order_relaxed);
-  ASUP_METRIC_COUNT("asup_suppress_arbi_virtual_answers_total", 1);
+  if (!context.outcome.covered()) return;
+  context.outcome.answered_by = AnsweredBy::kVirtual;
   ASUP_TRACE_STAGE(obs::Stage::kVirtual);
   const std::vector<DocId>& match_ids = *context.match_ids;
   // q ∩ (Res(q1) ∪ ... ∪ Res(qu)); both inputs are ascending.
@@ -325,8 +363,6 @@ void VirtualAnswerProcessor::Process(QueryContext& context) const {
   std::set_intersection(match_ids.begin(), match_ids.end(),
                         context.cover_pool.begin(), context.cover_pool.end(),
                         std::back_inserter(virtual_ids));
-  ASUP_TRACE_NOTE("cover_pool_docs", context.cover_pool.size());
-  ASUP_TRACE_NOTE("virtual_docs", virtual_ids.size());
 
   // ...covering at least ⌈σ·|Sel(q)|⌉ matching documents, every one of them
   // already disclosed by an earlier answer (so the virtual answer reveals
@@ -358,13 +394,12 @@ void VirtualAnswerProcessor::Process(QueryContext& context) const {
   } else {
     context.result.status = QueryStatus::kValid;
   }
-  context.virtual_answered = true;
   context.finished = true;
 }
 
 void DeclineProcessor::Process(QueryContext& context) const {
-  if (!context.cover_found) return;
-  counters_->declined.fetch_add(1, std::memory_order_relaxed);
+  if (!context.outcome.covered()) return;
+  context.outcome.answered_by = AnsweredBy::kDeclined;
   context.result.status = QueryStatus::kDeclined;
   context.finished = true;
 }
@@ -374,9 +409,8 @@ void HistoryRecordProcessor::Process(QueryContext& context) const {
   // not underflows, and not covered queries, which got a virtual answer or
   // a refusal. Whether M(q) exists says nothing here — the cover stage
   // computes it for queries it may then cover.
-  if (context.match_count == 0 || context.cover_found) return;
-  counters_->simple_answers.fetch_add(1, std::memory_order_relaxed);
-  ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
+  if (context.match_count == 0 || context.outcome.covered()) return;
+  context.outcome.answered_by = AnsweredBy::kSimple;
   if (context.result.docs.empty()) return;
   ASUP_TRACE_STAGE(obs::Stage::kHistoryRecord);
   WriterLock lock(history_->mutex);

@@ -8,24 +8,27 @@
 /// engine/pipeline/result_processor.h): AS-SIMPLE is match → guard →
 /// hide → trim → emulated status, AS-ARBI prepends count → cover →
 /// virtual answer and appends a history record, AS-DECLINE swaps the
-/// virtual stage for a refusal. Every chain ends in the shared
-/// DefenseRecordProcessor, which emits the defense-observability events —
-/// including the segment probe, computed once here via the overflow-safe
-/// IndistinguishableSegment::IndexOf instead of ad-hoc log-ratio
-/// arithmetic.
+/// virtual stage for a refusal. The stages write what they decide into
+/// the context's outcome record (QueryOutcome) and nothing else. Every
+/// chain ends in the shared DefenseRecordProcessor, the one writer of the
+/// engine's counters, the `asup_suppress_*` outcome metrics, the outcome
+/// trace notes and the defense-observability events, all read from that
+/// record, so no two channels can disagree (lint rule `asup-record-once`).
 ///
 /// DefendedEngine (suppress/defended_engine.h) owns the state the stages
 /// share and hands each stage exactly the pieces it needs at construction:
-/// Θ_R and the coin, the counters, the history. The engine fills the
-/// context's epoch-pinned inputs (snapshot, segment) while holding its
-/// epoch lock; the history stages take the history lock themselves (the
-/// capability analysis checks those acquisitions syntactically).
+/// Θ_R and the coin, the history, the recorder's counters. The engine
+/// fills the context's epoch-pinned inputs (snapshot, segment) while
+/// holding its epoch lock; the history stages take the history lock
+/// themselves (the capability analysis checks those acquisitions
+/// syntactically).
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "asup/engine/pipeline/result_processor.h"
+#include "asup/obs/event_log.h"
 #include "asup/suppress/cover_finder.h"
 #include "asup/suppress/history_store.h"
 #include "asup/util/annotated_mutex.h"
@@ -34,16 +37,14 @@
 
 namespace asup {
 
-/// Processing counters of one defended engine. Relaxed atomics: each is a
-/// tally, read consistently only when the engine is quiesced. A repeat
-/// answered before the engine lock bumps `fast_hits` alone — one atomic
-/// add on the hottest path; every other query counts as `locked_queries`.
+/// Processing counters of one defended engine, written by
+/// DefenseRecordProcessor alone (and epoch_migrations by the migration).
+/// Relaxed atomics: each is a tally, read consistently only when the
+/// engine is quiesced. A cache hit bumps `cache_hits` alone — one atomic
+/// add on the hottest path; a query the chain answered bumps `computed`.
 struct DefenseCounters {
-  std::atomic<uint64_t> fast_hits{0};
-  std::atomic<uint64_t> locked_queries{0};
-  /// Cache hits found under the engine lock (a duplicate that raced the
-  /// first issue, or an entry the fast path's epoch check missed).
-  std::atomic<uint64_t> locked_hits{0};
+  std::atomic<uint64_t> cache_hits{0};
+  std::atomic<uint64_t> computed{0};
   std::atomic<uint64_t> docs_hidden{0};
   std::atomic<uint64_t> docs_trimmed{0};
   std::atomic<uint64_t> epoch_migrations{0};
@@ -107,8 +108,9 @@ class DefenseHistory {
   void Replace(HistoryStore store) ASUP_REQUIRES(mutex);
 
   /// Drops documents absent from `to` from every recorded answer and
-  /// removes answers left empty, keeping the record order.
-  void CompactTo(const CorpusSnapshot& to) ASUP_REQUIRES(mutex);
+  /// removes answers left empty, keeping the record order. Returns the
+  /// number of answers removed.
+  size_t CompactTo(const CorpusSnapshot& to) ASUP_REQUIRES(mutex);
 
  private:
   void RefreshMirrors() ASUP_REQUIRES(mutex);
@@ -140,29 +142,21 @@ class SuppressGuardProcessor : public ResultProcessor {
 /// looked up.
 class HideProcessor : public ResultProcessor {
  public:
-  HideProcessor(AtomicBitmap& returned_before, const DeterministicCoin& coin,
-                DefenseCounters& counters)
-      : returned_before_(&returned_before),
-        coin_(&coin),
-        counters_(&counters) {}
+  HideProcessor(AtomicBitmap& returned_before, const DeterministicCoin& coin)
+      : returned_before_(&returned_before), coin_(&coin) {}
   const char* name() const override { return "hide"; }
   void Process(QueryContext& context) const override;
 
  private:
   AtomicBitmap* returned_before_;
   const DeterministicCoin* coin_;
-  DefenseCounters* counters_;
 };
 
 /// Algorithm 1 line 14: trim the survivors to min(|M(q)|/μ, k).
 class TrimProcessor : public ResultProcessor {
  public:
-  explicit TrimProcessor(DefenseCounters& counters) : counters_(&counters) {}
   const char* name() const override { return "trim"; }
   void Process(QueryContext& context) const override;
-
- private:
-  DefenseCounters* counters_;
 };
 
 /// Status in the *emulated* corpus: the defended engine behaves as if q
@@ -173,24 +167,35 @@ class EmulatedStatusProcessor : public ResultProcessor {
   void Process(QueryContext& context) const override;
 };
 
-/// Shared terminal stage: emits the defense-observability events the
-/// watchtower consumes, in a fixed order (hidden → segment probe → trimmed
-/// → cover → virtual). The segment probe is the γ-segment of |Sel(q)|,
-/// computed via IndistinguishableSegment::IndexOf — the same overflow-safe
-/// multiply loop as the segment constructor, never trunc(log n / log γ).
+/// The recorder: the shared terminal stage, and the one writer of a
+/// defended query's facts. From the context's outcome record it writes, in
+/// this order, the engine's counters (stats()), the `asup_suppress_*`
+/// metrics, one trace note per fact, and the defense-observability events
+/// the watchtower consumes (hidden → segment probe → trimmed → cover →
+/// virtual). The segment probe is the γ-segment of |Sel(q)|, computed via
+/// IndistinguishableSegment::IndexOf — the same overflow-safe multiply
+/// loop as the segment constructor, never trunc(log n / log γ).
 class DefenseRecordProcessor : public ResultProcessor {
  public:
+  explicit DefenseRecordProcessor(DefenseCounters& counters)
+      : counters_(&counters) {}
   const char* name() const override { return "record"; }
   bool RunsWhenFinished() const override { return true; }
   void Process(QueryContext& context) const override;
-};
 
-/// Notes |Sel(q)| on the active trace (the cover defenses' pre-trigger
-/// note).
-class SelSizeNoteProcessor : public ResultProcessor {
- public:
-  const char* name() const override { return "sel_size_note"; }
-  void Process(QueryContext& context) const override;
+  /// The record of a query answered from the answer cache, on the
+  /// lock-free and the locked path alike: one engine-local relaxed add and
+  /// the event-sink check. No metric and no note — a process-wide metric
+  /// add would show in the sub-µs hit latency (DESIGN.md §9).
+  static void RecordHit(DefenseCounters& counters, const KeywordQuery& query,
+                        const SearchResult& cached) {
+    counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    ASUP_EVENT_EMIT(kCacheHit, query.client_id(), query.hash(),
+                    cached.docs.size(), 0);
+  }
+
+ private:
+  DefenseCounters* counters_;
 };
 
 /// Algorithm 2's cover trigger: size-plausibility check, lock-free
@@ -203,15 +208,13 @@ class SelSizeNoteProcessor : public ResultProcessor {
 class CoverProcessor : public ResultProcessor {
  public:
   /// `max_ids` is the history's MaxPlausibleMatches(k).
-  CoverProcessor(DefenseHistory& history, DefenseCounters& counters,
-                 size_t max_ids)
-      : history_(&history), counters_(&counters), max_ids_(max_ids) {}
+  CoverProcessor(DefenseHistory& history, size_t max_ids)
+      : history_(&history), max_ids_(max_ids) {}
   const char* name() const override { return "cover"; }
   void Process(QueryContext& context) const override;
 
  private:
   DefenseHistory* history_;
-  DefenseCounters* counters_;
   size_t max_ids_;
 };
 
@@ -221,49 +224,39 @@ class CoverProcessor : public ResultProcessor {
 class VirtualAnswerProcessor : public ResultProcessor {
  public:
   VirtualAnswerProcessor(const DefenseHistory& history,
-                         const AtomicBitmap& returned_before,
-                         DefenseCounters& counters)
-      : history_(&history),
-        returned_before_(&returned_before),
-        counters_(&counters) {}
+                         const AtomicBitmap& returned_before)
+      : history_(&history), returned_before_(&returned_before) {}
   const char* name() const override { return "virtual"; }
   void Process(QueryContext& context) const override;
 
  private:
   const DefenseHistory* history_;
   const AtomicBitmap* returned_before_;  // contract checks only
-  DefenseCounters* counters_;
 };
 
 /// AS-DECLINE's answer to a covered query (§5.2): refuse it outright
 /// (kDeclined, empty answer).
 class DeclineProcessor : public ResultProcessor {
  public:
-  explicit DeclineProcessor(DefenseCounters& counters)
-      : counters_(&counters) {}
   const char* name() const override { return "decline"; }
   void Process(QueryContext& context) const override;
-
- private:
-  DefenseCounters* counters_;
 };
 
-/// Records a query the AS-SIMPLE stages answered: counts the fall-through
-/// and, when the answer is non-empty, records it into the history
-/// (exclusive lock). The gate is the cover outcome, not whether M(q)
-/// exists: the cover stage may have computed M(q) for a query it then
+/// Records a query the AS-SIMPLE stages answered: marks the fall-through
+/// in the outcome and, when the answer is non-empty, records it into the
+/// history (exclusive lock). The gate is the cover outcome, not whether
+/// M(q) exists: the cover stage may have computed M(q) for a query it then
 /// covered.
 class HistoryRecordProcessor : public ResultProcessor {
  public:
-  HistoryRecordProcessor(DefenseHistory& history, DefenseCounters& counters)
-      : history_(&history), counters_(&counters) {}
+  explicit HistoryRecordProcessor(DefenseHistory& history)
+      : history_(&history) {}
   const char* name() const override { return "history_record"; }
   bool RunsWhenFinished() const override { return true; }
   void Process(QueryContext& context) const override;
 
  private:
   DefenseHistory* history_;
-  DefenseCounters* counters_;
 };
 
 }  // namespace asup

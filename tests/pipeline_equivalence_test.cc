@@ -15,8 +15,8 @@
 //     segment_index() of an equally-sized corpus — exactly at powers of γ,
 //     where the replaced log-ratio arithmetic truncated one segment low.
 //
-// Plus the new capabilities the chain makes cheap: a pluggable ranker
-// (RescoreProcessor) and an aggregation stage (FacetCountProcessor).
+// Plus the capability the chain makes cheap: a pluggable ranker
+// (RescoreProcessor).
 
 #include <algorithm>
 #include <cmath>
@@ -720,74 +720,6 @@ TEST(PipelineStagesTest, RescoreProcessorRescoresOverStaticShardedBase) {
     ExpectBitwiseEqual(run(sharded, q), run(*rig.engine, q),
                        "q=\"" + q.canonical() + "\"");
   }
-}
-
-TEST(PipelineStagesTest, FacetCountProcessorHistogramsTheAnswer) {
-  Rig rig = MakeRig(400, 10);
-  constexpr uint64_t kBucket = 16;
-  ProcessorChain chain;
-  chain.Add(std::make_unique<MatchProcessor>())
-      .Add(std::make_unique<InterfaceStatusProcessor>())
-      .Add(std::make_unique<FacetCountProcessor>(kBucket));
-
-  const KeywordQuery q = rig.Q("sports");
-  const SnapshotHandle snapshot = rig.engine->PinSnapshot();
-  QueryContext context;
-  context.query = &q;
-  context.base = rig.engine.get();
-  context.snapshot = snapshot.get();
-  context.k = rig.engine->k();
-  context.match_limit = rig.engine->k();
-  chain.Run(context);
-  ASSERT_FALSE(context.result.docs.empty());
-  ASSERT_FALSE(context.facet_buckets.empty());
-
-  // Buckets ascend, counts tally the answer exactly, and each bucket
-  // matches a manual recount over the corpus.
-  size_t total = 0;
-  std::map<uint64_t, size_t> manual;
-  for (const ScoredDoc& entry : context.result.docs) {
-    const uint64_t length = rig.corpus->Get(entry.doc).length();
-    ++manual[(length / kBucket) * kBucket];
-  }
-  for (size_t i = 0; i < context.facet_buckets.size(); ++i) {
-    const auto& [bucket, count] = context.facet_buckets[i];
-    EXPECT_EQ(bucket % kBucket, 0u);
-    if (i > 0) {
-      EXPECT_GT(bucket, context.facet_buckets[i - 1].first);
-    }
-    EXPECT_EQ(count, manual[bucket]) << "bucket " << bucket;
-    total += count;
-  }
-  EXPECT_EQ(total, context.result.docs.size());
-  EXPECT_EQ(manual.size(), context.facet_buckets.size());
-}
-
-TEST(PipelineStagesTest, FacetProcessorComposesAfterDefendedChain) {
-  // The aggregation stage reads only the context, so it composes after a
-  // *defended* answer exactly as after a plain one — histogram the
-  // AS-SIMPLE answer without touching the engine.
-  Rig rig = MakeRig(400, 5);
-  AsSimpleConfig config;
-  AsSimpleEngine defended(*rig.engine, config);
-  const KeywordQuery q = rig.Q("sports");
-  const SearchResult answer = defended.Search(q);
-  ASSERT_FALSE(answer.docs.empty());
-
-  const SnapshotHandle snapshot = rig.engine->PinSnapshot();
-  QueryContext context;
-  context.query = &q;
-  context.base = rig.engine.get();
-  context.snapshot = snapshot.get();
-  context.k = rig.engine->k();
-  context.result = answer;
-  context.finished = true;  // only RunsWhenFinished stages may act
-  ProcessorChain chain;
-  chain.Add(std::make_unique<FacetCountProcessor>(8));
-  chain.Run(context);
-  size_t total = 0;
-  for (const auto& [bucket, count] : context.facet_buckets) total += count;
-  EXPECT_EQ(total, answer.docs.size());
 }
 
 }  // namespace

@@ -116,8 +116,7 @@ TEST(AsArbiTest, HistoryRecordGatesOnCoverOutcomeNotOnMatches) {
   // refusals into the history.
   Rig rig = MakeRig(400, 5);
   DefenseHistory history(/*cover_size=*/5, /*cover_ratio=*/1.0);
-  DefenseCounters counters;
-  const HistoryRecordProcessor record(history, counters);
+  const HistoryRecordProcessor record(history);
   const KeywordQuery query = rig.Q("sports");
   const auto fill_with_matches = [&](QueryContext& context, bool covered) {
     context.query = &query;
@@ -127,7 +126,7 @@ TEST(AsArbiTest, HistoryRecordGatesOnCoverOutcomeNotOnMatches) {
     context.ranked = &context.owned_ranked;
     context.match_count = context.owned_ranked.total_matches;
     context.have_match_count = true;
-    context.cover_found = covered;
+    context.outcome.cover_answers_used = covered ? 1 : 0;
     context.result.docs = context.owned_ranked.docs;
     context.result.docs.resize(3);
     context.finished = true;
@@ -137,13 +136,13 @@ TEST(AsArbiTest, HistoryRecordGatesOnCoverOutcomeNotOnMatches) {
   fill_with_matches(covered, /*covered=*/true);
   record.Process(covered);
   EXPECT_EQ(history.UnlockedStore().NumQueries(), 0u);
-  EXPECT_EQ(counters.simple_answers.load(), 0u);
+  EXPECT_EQ(covered.outcome.answered_by, AnsweredBy::kNone);
 
   QueryContext answered;
   fill_with_matches(answered, /*covered=*/false);
   record.Process(answered);
   EXPECT_EQ(history.UnlockedStore().NumQueries(), 1u);
-  EXPECT_EQ(counters.simple_answers.load(), 1u);
+  EXPECT_EQ(answered.outcome.answered_by, AnsweredBy::kSimple);
 
   // An underflow is no answer of the hiding stages either.
   QueryContext underflow;
@@ -152,7 +151,7 @@ TEST(AsArbiTest, HistoryRecordGatesOnCoverOutcomeNotOnMatches) {
   underflow.finished = true;
   record.Process(underflow);
   EXPECT_EQ(history.UnlockedStore().NumQueries(), 1u);
-  EXPECT_EQ(counters.simple_answers.load(), 1u);
+  EXPECT_EQ(underflow.outcome.answered_by, AnsweredBy::kNone);
 }
 
 TEST(AsArbiTest, BroadQueriesSkipTriggerEvaluation) {

@@ -83,6 +83,17 @@ Rules (all scoped to src/ unless noted):
                            per match, the cache miss those columns remove.
                            The one sanctioned call is MatchFreqReader's
                            term-map fallback for general trees.
+  asup-record-once         src/asup/suppress/: a defended query's facts
+                           are written once. Stages fill the context's
+                           outcome record; only the recorder
+                           (DefenseRecordProcessor, header class body and
+                           out-of-line members) and the epoch migration
+                           (DefendedEngine::MigrateTo) may contain
+                           ASUP_EVENT_EMIT, ASUP_TRACE_NOTE, or a write to
+                           a DefenseCounters field. A second writer is
+                           how stats, metrics, notes and events came to
+                           disagree. The cover search's internal notes
+                           carry a suppression with a reason.
   asup-raw-assert          validation-critical paths (src/asup/index/,
                            src/asup/suppress/, src/asup/text/,
                            src/asup/engine/, src/asup/eval/): a raw
@@ -158,6 +169,18 @@ POSTING_VARBYTE_RE = re.compile(
     r"\b(?:AppendVarByte|TryReadVarByte|ReadVarByte)\s*\(")
 # A Document lookup by local id, banned from the engine's match walk.
 WALK_DOCAT_RE = re.compile(r"\bDocAt\s*\(")
+# Per-query telemetry macros the recorder owns under src/asup/suppress/.
+RECORD_MACRO_RE = re.compile(r"\bASUP_(?:EVENT_EMIT|TRACE_NOTE)\s*\(")
+# The fields of struct DefenseCounters (read from processors.h).
+COUNTERS_STRUCT_RE = re.compile(
+    r"struct\s+DefenseCounters\s*\{(.*?)\n\};", re.S)
+COUNTERS_FIELD_RE = re.compile(r"std::atomic<[^>]*>\s+(\w+)\s*\{")
+# Column-0 openers of a top-level scope: an out-of-line member definition
+# (`Type Class::Method(`), a class body, or any other definition.
+MEMBER_DEF_RE = re.compile(r"^[A-Za-z_][^(;]*?\b(\w+::~?\w+)\s*\(")
+CLASS_DEF_RE = re.compile(r"^(?:class|struct)\s+(\w+)\b[^;]*$")
+RECORD_SCOPES = ("class DefenseRecordProcessor", "DefenseRecordProcessor::",
+                 "DefendedEngine::MigrateTo")
 LOCKED_DECL_RE = re.compile(
     r"^\s*(?!return\b|throw\b|co_return\b)"
     r"(?:[\w:<>,*&~\[\]]+\s+)+((?:\w+::)*\w*Locked)\s*\(")
@@ -237,6 +260,65 @@ def paired_header_text(path):
         if header.exists():
             return header.read_text(encoding="utf-8")
     return ""
+
+
+def counter_write_re(path):
+    """Matches a write to a DefenseCounters field, or None without them.
+
+    The fields are atomics, so a write is an atomic member call (fetch_*,
+    store, exchange) on the field, or an operator applied to it through a
+    `counters` object. The outcome record shares some field names but holds
+    plain integers, so neither form matches a write to it.
+    """
+    header = path.parent / "processors.h"
+    if not header.exists():
+        return None
+    struct = COUNTERS_STRUCT_RE.search(header.read_text(encoding="utf-8"))
+    if not struct:
+        return None
+    fields = "|".join(COUNTERS_FIELD_RE.findall(struct.group(1)))
+    return re.compile(
+        r"\b(?:" + fields + r")\s*\.\s*"
+        r"(?:fetch_\w+|store|exchange|compare_exchange_\w+)\s*\("
+        r"|\bcounters\w*\s*(?:\.|->)\s*(?:" + fields + r")\b\s*"
+        r"(?:\+\+|--|[-+|&^]?=(?!=))"
+        r"|(?:\+\+|--)\s*\w*counters\w*\s*(?:\.|->)\s*(?:" + fields +
+        r")\b")
+
+
+def check_record_once(path, clean_lines, is_suppressed, rel, findings):
+    """Per-query facts are written by the recorder and the migration only.
+
+    Tracks the top-level scope each line sits in from column-0 openers:
+    an out-of-line `Class::Method(` definition, a `class Name` body, or
+    another definition (which ends any allowed scope).
+    """
+    writes = counter_write_re(path)
+    scope = None
+    for lineno, line in enumerate(clean_lines, 1):
+        if line[:1] not in ("", " ", "\t", "}", "#", "/"):
+            member = MEMBER_DEF_RE.match(line)
+            klass = CLASS_DEF_RE.match(line)
+            if klass:
+                scope = "class " + klass.group(1)
+            elif member:
+                scope = member.group(1)
+            else:
+                scope = None
+        allowed = scope is not None and any(
+            scope == s or (s.endswith("::") and scope.startswith(s))
+            for s in RECORD_SCOPES)
+        if allowed:
+            continue
+        if (RECORD_MACRO_RE.search(line) or
+                (writes is not None and writes.search(line))) and \
+                not is_suppressed(lineno, "asup-record-once"):
+            findings.add(
+                rel, lineno, "asup-record-once",
+                "per-query fact written outside the recorder; set the "
+                "QueryContext outcome field and let "
+                "DefenseRecordProcessor write stats, metrics, notes and "
+                "events")
 
 
 def check_locked_requires(clean_lines, is_suppressed, path, findings):
@@ -349,6 +431,9 @@ def lint_file(path, rel, findings):
                     "match; read InvertedIndex::LocalToId / LengthAt")
 
     check_locked_requires(clean_lines, is_suppressed, rel, findings)
+
+    if "asup/suppress/" in posix_rel:
+        check_record_once(path, clean_lines, is_suppressed, rel, findings)
 
     if any(d in rel.replace("\\", "/") for d in RAW_ASSERT_SUBDIRS):
         for lineno, line in enumerate(clean_lines, 1):
