@@ -360,6 +360,34 @@ void LadderArgs(benchmark::internal::Benchmark* bench) {
 BENCHMARK(BM_ShardedSearchInline)->Apply(LadderArgs)->UseRealTime();
 BENCHMARK(BM_ShardedSearchPooled)->Apply(LadderArgs)->UseRealTime();
 
+// Plain top-5 over a two-term conjunction of the ladder corpus, one
+// partition: the walk every multi-word query runs (leapfrog, per-match
+// frequency reads, scoring, the bounded heap). Ladder terms nest, so the
+// rarer list is the match set. Dense: df32768 ∧ df65536, |Sel| 32,768 over
+// 98,304 postings, each leap 1–2 postings ahead. Skewed: df4096 ∧
+// df131072, a rare list leaping 32 postings at a time through a list that
+// holds every document.
+void ConjunctiveTopK(benchmark::State& state, const char* words) {
+  const Corpus& corpus = LadderCorpus();
+  static const InvertedIndex* index = new InvertedIndex(corpus);
+  const MatchingEngine engine(*index, 5);
+  const KeywordQuery query = KeywordQuery::Parse(corpus.vocabulary(), words);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.TopMatches(query, 5).docs.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ConjunctiveTopKDense(benchmark::State& state) {
+  ConjunctiveTopK(state, "df32768 df65536");
+}
+BENCHMARK(BM_ConjunctiveTopKDense);
+
+void BM_ConjunctiveTopKSkewed(benchmark::State& state) {
+  ConjunctiveTopK(state, "df4096 df131072");
+}
+BENCHMARK(BM_ConjunctiveTopKSkewed);
+
 // Block-format decode throughput: full scan of a 10k-posting list through
 // the group-varint block codec (the format every engine reads now).
 void BM_PostingDecode(benchmark::State& state) {

@@ -2,65 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "asup/util/check.h"
 
 namespace asup {
-
-// ---------------------------------------------------------------------------
-// AndIterator
-
-AndIterator::AndIterator(std::vector<std::unique_ptr<DocIterator>> children)
-    : children_(std::move(children)) {
-  ASUP_CHECK(children_.size() >= 2);
-  Leapfrog();
-}
-
-void AndIterator::Leapfrog() {
-  DocIterator& driver = *children_[0];
-  while (driver.Valid()) {
-    const uint32_t candidate = driver.Doc();
-    bool all = true;
-    for (size_t i = 1; i < children_.size(); ++i) {
-      children_[i]->SkipTo(candidate);
-      if (!children_[i]->Valid()) {
-        valid_ = false;  // some child exhausted: no more matches anywhere
-        return;
-      }
-      if (children_[i]->Doc() != candidate) {
-        // Blocked: the driver leaps to the blocker's doc, not just past
-        // the candidate — the whole point of rarest-first leapfrogging.
-        all = false;
-        driver.SkipTo(children_[i]->Doc());
-        break;
-      }
-    }
-    if (all) {
-      doc_ = candidate;
-      valid_ = true;
-      return;
-    }
-  }
-  valid_ = false;
-}
-
-void AndIterator::Next() {
-  ASUP_DCHECK(valid_);
-  children_[0]->Next();
-  Leapfrog();
-}
-
-void AndIterator::SkipTo(uint32_t target) {
-  if (!valid_ || doc_ >= target) return;
-  children_[0]->SkipTo(target);
-  Leapfrog();
-}
-
-size_t AndIterator::CostEstimate() const {
-  // The rarest child bounds the intersection.
-  return children_[0]->CostEstimate();
-}
 
 // ---------------------------------------------------------------------------
 // FlatOrIterator
@@ -225,15 +172,62 @@ void SortByCost(std::vector<std::unique_ptr<DocIterator>>& children) {
                    });
 }
 
+/// True for the shapes KeywordQuery lowers to: a bare term or a
+/// conjunction whose children are all terms.
+bool IsConjunctionOfTerms(const QueryNode& node) {
+  if (node.kind() == QueryNode::Kind::kTerm) return true;
+  if (node.kind() != QueryNode::Kind::kAnd) return false;
+  for (const QueryNode& child : node.children()) {
+    if (child.kind() != QueryNode::Kind::kTerm) return false;
+  }
+  return true;
+}
+
+/// Compiles a conjunction of terms (IsConjunctionOfTerms) to its concrete
+/// form: Empty if any term is unindexed, the TermIterator of its one
+/// distinct term, else a TermAndIterator over its distinct terms
+/// rarest-first. A matchable conjunction's term iterators, rarest-first,
+/// go to `aligned`.
+std::unique_ptr<DocIterator> CompileTermConjunction(
+    const InvertedIndex& index, const QueryNode& node,
+    std::vector<const TermIterator*>& aligned) {
+  const std::span<const QueryNode> children =
+      node.kind() == QueryNode::Kind::kTerm
+          ? std::span<const QueryNode>(&node, 1)
+          : std::span<const QueryNode>(node.children());
+  std::vector<std::unique_ptr<TermIterator>> terms;
+  terms.reserve(children.size());
+  for (const QueryNode& child : children) {
+    const TermId term = child.term();
+    // Duplicate terms intersect to themselves: compile once.
+    if (std::any_of(terms.begin(), terms.end(),
+                    [&](const auto& it) { return it->term() == term; })) {
+      continue;
+    }
+    const PostingList& list = index.Postings(term);
+    if (list.empty()) return MakeEmpty();  // an unindexed term: no match
+    terms.push_back(std::make_unique<TermIterator>(list, term));
+  }
+  // Rarest-first, stably (equal costs keep query order, for determinism).
+  std::stable_sort(terms.begin(), terms.end(),
+                   [](const std::unique_ptr<TermIterator>& a,
+                      const std::unique_ptr<TermIterator>& b) {
+                     return a->CostEstimate() < b->CostEstimate();
+                   });
+  aligned.reserve(terms.size());
+  for (const auto& term : terms) aligned.push_back(term.get());
+  if (terms.size() == 1) return std::move(terms.front());
+  return std::make_unique<TermAndIterator>(std::move(terms));
+}
+
 std::unique_ptr<DocIterator> CompileNode(const InvertedIndex& index,
                                          const QueryNode& node,
                                          OrStrategy strategy) {
+  if (IsConjunctionOfTerms(node)) {
+    std::vector<const TermIterator*> aligned;
+    return CompileTermConjunction(index, node, aligned);
+  }
   switch (node.kind()) {
-    case QueryNode::Kind::kTerm: {
-      const PostingList& list = index.Postings(node.term());
-      if (list.empty()) return MakeEmpty();
-      return std::make_unique<TermIterator>(list, node.term());
-    }
     case QueryNode::Kind::kAnd: {
       std::vector<std::unique_ptr<DocIterator>> children;
       std::vector<TermId> seen_terms;
@@ -278,21 +272,11 @@ std::unique_ptr<DocIterator> CompileNode(const InvertedIndex& index,
       return std::make_unique<NotIterator>(
           CompileNode(index, node.children().front(), strategy), num_docs);
     }
+    case QueryNode::Kind::kTerm:  // a conjunction of terms, handled above
     case QueryNode::Kind::kEmpty:
       return MakeEmpty();
   }
   return MakeEmpty();  // unreachable; silences -Wreturn-type
-}
-
-/// True for the shapes KeywordQuery lowers to: a bare term or a
-/// conjunction whose children are all terms.
-bool IsConjunctionOfTerms(const QueryNode& node) {
-  if (node.kind() == QueryNode::Kind::kTerm) return true;
-  if (node.kind() != QueryNode::Kind::kAnd) return false;
-  for (const QueryNode& child : node.children()) {
-    if (child.kind() != QueryNode::Kind::kTerm) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -300,52 +284,11 @@ bool IsConjunctionOfTerms(const QueryNode& node) {
 CompiledQuery CompileQuery(const InvertedIndex& index, const QueryNode& node,
                            OrStrategy strategy) {
   CompiledQuery out;
-  if (!IsConjunctionOfTerms(node)) {
-    out.root = CompileNode(index, node, strategy);
-    return out;
-  }
-  // Conjunctive fast shape: build the term children by hand so their
-  // aligned Freq() accessors stay reachable through the compiled root.
-  std::vector<std::unique_ptr<TermIterator>> terms;
-  std::vector<TermId> seen_terms;
-  const auto add_term = [&](TermId term) -> bool {
-    if (std::find(seen_terms.begin(), seen_terms.end(), term) !=
-        seen_terms.end()) {
-      return true;
-    }
-    seen_terms.push_back(term);
-    const PostingList& list = index.Postings(term);
-    if (list.empty()) return false;  // conjunction with an unindexed term
-    terms.push_back(std::make_unique<TermIterator>(list, term));
-    return true;
-  };
-  bool matchable = true;
-  if (node.kind() == QueryNode::Kind::kTerm) {
-    matchable = add_term(node.term());
-  } else {
-    for (const QueryNode& child : node.children()) {
-      if (!(matchable = add_term(child.term()))) break;
-    }
-  }
-  if (!matchable) {
-    out.root = MakeEmpty();
-    return out;
-  }
-  std::stable_sort(terms.begin(), terms.end(),
-                   [](const std::unique_ptr<TermIterator>& a,
-                      const std::unique_ptr<TermIterator>& b) {
-                     return a->CostEstimate() < b->CostEstimate();
-                   });
-  out.aligned_terms.reserve(terms.size());
-  for (const auto& term : terms) out.aligned_terms.push_back(term.get());
-  if (terms.size() == 1) {
-    out.root = std::move(terms.front());
-    return out;
-  }
-  std::vector<std::unique_ptr<DocIterator>> children;
-  children.reserve(terms.size());
-  for (auto& term : terms) children.push_back(std::move(term));
-  out.root = std::make_unique<AndIterator>(std::move(children));
+  // The conjunctive fast shape keeps its term iterators reachable, so
+  // their aligned Freq() accessors serve every match.
+  out.root = IsConjunctionOfTerms(node)
+                 ? CompileTermConjunction(index, node, out.aligned_terms)
+                 : CompileNode(index, node, strategy);
   return out;
 }
 
@@ -396,16 +339,13 @@ size_t ExecuteCountIn(const InvertedIndex& index, DocRange range,
       range.hi >= index.NumDocuments()) {
     return index.Postings(node.term()).size();
   }
-  CompiledQuery query = CompileQuery(index, node, strategy);
-  // A range that reaches the end of the index skips the bound check: it
-  // would cost the whole-index count loop a virtual Doc() call per match.
-  const bool bounded = range.hi < index.NumDocuments();
+  const CompiledQuery query = CompileQuery(index, node, strategy);
   size_t count = 0;
-  DocIterator& root = *query.root;
-  for (root.SkipTo(range.lo); root.Valid(); root.Next()) {
-    if (bounded && root.Doc() >= range.hi) break;
-    ++count;
-  }
+  const auto no_freqs = [](uint32_t) { return std::span<const uint32_t>(); };
+  const auto tally = [&](uint32_t, std::span<const uint32_t>) { ++count; };
+  detail::WithConcreteRoot(query, [&](auto& root) {
+    detail::WalkRange(root, range, no_freqs, tally);
+  });
   return count;
 }
 

@@ -9,6 +9,7 @@
 
 #include "asup/engine/query_node.h"
 #include "asup/index/inverted_index.h"
+#include "asup/util/check.h"
 
 namespace asup {
 
@@ -69,26 +70,81 @@ class TermIterator final : public DocIterator {
 };
 
 /// Intersection: multi-way leapfrog over children ordered rarest-first
-/// (the caller — CompileQuery — sorts them by CostEstimate).
-class AndIterator : public DocIterator {
+/// (the caller — CompileQuery — sorts them by CostEstimate). One
+/// algorithm, two instantiations: over DocIterator for general trees
+/// (AndIterator), and over the final TermIterator for a conjunction of
+/// terms (TermAndIterator, every multi-word KeywordQuery), whose children
+/// are stepped with direct, inlinable calls. Final, so a walk holding the
+/// concrete type (detail::WalkRange) steps it without virtual calls.
+template <typename Child>
+class BasicAndIterator final : public DocIterator {
  public:
-  explicit AndIterator(std::vector<std::unique_ptr<DocIterator>> children);
+  explicit BasicAndIterator(std::vector<std::unique_ptr<Child>> children)
+      : children_(std::move(children)) {
+    ASUP_CHECK(children_.size() >= 2);
+    Leapfrog();
+  }
 
   bool Valid() const override { return valid_; }
   uint32_t Doc() const override { return doc_; }
-  void Next() override;
-  void SkipTo(uint32_t target) override;
-  size_t CostEstimate() const override;
+
+  void Next() override {
+    ASUP_DCHECK(valid_);
+    children_[0]->Next();
+    Leapfrog();
+  }
+
+  void SkipTo(uint32_t target) override {
+    if (!valid_ || doc_ >= target) return;
+    children_[0]->SkipTo(target);
+    Leapfrog();
+  }
+
+  /// The rarest child bounds the intersection.
+  size_t CostEstimate() const override {
+    return children_[0]->CostEstimate();
+  }
 
  private:
   /// From the driver's current position, leapfrogs to the next doc every
   /// child agrees on (or exhaustion).
-  void Leapfrog();
+  void Leapfrog() {
+    Child& driver = *children_[0];
+    const size_t n = children_.size();
+    while (driver.Valid()) {
+      const uint32_t candidate = driver.Doc();
+      size_t i = 1;
+      for (; i < n; ++i) {
+        Child& child = *children_[i];
+        child.SkipTo(candidate);
+        if (!child.Valid()) {
+          valid_ = false;  // some child exhausted: no more matches anywhere
+          return;
+        }
+        if (child.Doc() != candidate) break;
+      }
+      if (i == n) {
+        doc_ = candidate;
+        valid_ = true;
+        return;
+      }
+      // Blocked: the driver leaps to the blocker's doc, not just past the
+      // candidate — the whole point of rarest-first leapfrogging.
+      driver.SkipTo(children_[i]->Doc());
+    }
+    valid_ = false;
+  }
 
-  std::vector<std::unique_ptr<DocIterator>> children_;  // rarest first
+  std::vector<std::unique_ptr<Child>> children_;  // rarest first
   uint32_t doc_ = 0;
   bool valid_ = false;
 };
+
+/// The intersection of general subtrees.
+using AndIterator = BasicAndIterator<DocIterator>;
+
+/// The intersection of two or more distinct indexed terms.
+using TermAndIterator = BasicAndIterator<TermIterator>;
 
 /// Union, flat variant: every Next/SkipTo scans all children for the
 /// minimum. O(k) per step with no per-step allocation or heap churn —
@@ -208,11 +264,21 @@ struct CompiledQuery {
     return aligned_terms.size() == 1 ? static_cast<TermIterator*>(root.get())
                                      : nullptr;
   }
+
+  /// The root as its concrete TermAndIterator when the tree is a
+  /// conjunction of two or more distinct indexed terms; else null.
+  TermAndIterator* TermConjunction() const {
+    return aligned_terms.size() >= 2
+               ? static_cast<TermAndIterator*>(root.get())
+               : nullptr;
+  }
 };
 
 /// Compiles `node` against `index`. Duplicate term children of an And are
 /// deduplicated; children of an And run rarest-first; unindexed terms
-/// compile to EmptyIterator (and erase a surrounding And).
+/// compile to EmptyIterator (and erase a surrounding And). An And whose
+/// children are all terms, at the root or nested, compiles to a
+/// TermAndIterator.
 CompiledQuery CompileQuery(const InvertedIndex& index, const QueryNode& node,
                            OrStrategy strategy = OrStrategy::kAdaptive);
 
@@ -255,13 +321,34 @@ class MatchFreqReader {
 
 /// The one match loop: steps `root` from `range.lo` and calls
 /// `visit(local_doc, read(local_doc))` for each match below `range.hi`.
-/// Instantiated for the concrete TermIterator and for DocIterator.
+/// Instantiated for the three concrete root types WithConcreteRoot
+/// passes: TermIterator, TermAndIterator (both final, so every step is a
+/// direct call) and DocIterator (general trees). Flattened: every call
+/// the loop can see into (the iterators' steps and in-block skips, the
+/// reader, the visitor and its scorer) is inlined into the loop, which
+/// the inliner's size limits would otherwise stop short of once three
+/// instantiations share one caller.
 template <typename Iterator, typename Read, typename Visit>
-void WalkRange(Iterator& root, DocRange range, Read&& read, Visit& visit) {
+[[gnu::flatten]] void WalkRange(Iterator& root, DocRange range, Read&& read,
+                                Visit& visit) {
   for (root.SkipTo(range.lo); root.Valid(); root.Next()) {
     const uint32_t local = root.Doc();
     if (local >= range.hi) break;
     visit(local, read(local));
+  }
+}
+
+/// Calls `walk(root)` with `query`'s root as its most concrete type: the
+/// TermIterator of a bare term, the TermAndIterator of a conjunction of
+/// terms, else the DocIterator tree.
+template <typename Walk>
+void WithConcreteRoot(const CompiledQuery& query, Walk&& walk) {
+  if (TermIterator* term = query.BareTerm()) {
+    walk(*term);
+  } else if (TermAndIterator* conjunction = query.TermConjunction()) {
+    walk(*conjunction);
+  } else {
+    walk(*query.root);
   }
 }
 
@@ -277,9 +364,10 @@ void WalkRange(Iterator& root, DocRange range, Read&& read, Visit& visit) {
 /// the walks of disjoint covering ranges partition the whole walk.
 ///
 /// A bare term (every one-word KeywordQuery) whose `freq_terms` are empty
-/// or exactly that term walks its concrete TermIterator and reads the
-/// frequency off the current posting; every other walk steps the tree
-/// through DocIterator and reads through MatchFreqReader.
+/// or exactly that term reads the frequency off the current posting; every
+/// other walk reads through MatchFreqReader. Either way the root is
+/// stepped as its concrete type (WithConcreteRoot), so a KeywordQuery's
+/// walk makes no virtual call per posting or per match.
 template <typename Visit>
 void ForEachMatchIn(const InvertedIndex& index, DocRange range,
                     const QueryNode& node, std::span<const TermId> freq_terms,
@@ -300,7 +388,9 @@ void ForEachMatchIn(const InvertedIndex& index, DocRange range,
   }
   detail::MatchFreqReader reader(index, query, freq_terms);
   const auto read = [&](uint32_t local) { return reader.Read(local); };
-  detail::WalkRange(*query.root, range, read, visit);
+  detail::WithConcreteRoot(query, [&](auto& root) {
+    detail::WalkRange(root, range, read, visit);
+  });
 }
 
 /// ForEachMatchIn over every document of `index`.

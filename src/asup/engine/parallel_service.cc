@@ -80,8 +80,15 @@ std::vector<SearchResult> BatchExecutor::ExecuteDeterministic(
       // snapshot), which is query-independent and deterministic — a serial
       // loop would migrate at the same point and recompute the query live,
       // which is exactly what Search does on the cache miss.
-      results[i] = prefetch ? service.SearchPrefetched(queries[i], *prefetch)
-                            : service.Search(queries[i]);
+      const auto answer = [&] {
+        return prefetch ? service.SearchPrefetched(queries[i], *prefetch)
+                        : service.Search(queries[i]);
+      };
+      // A client-tagged query is framed as its client's tagging decorator
+      // frames it in a per-client loop.
+      results[i] = queries[i].client_id() != 0
+                       ? FrameTaggedQuery(queries[i], answer)
+                       : answer();
     }
   }
   return results;

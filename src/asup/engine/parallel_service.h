@@ -68,7 +68,10 @@ class BatchExecutor {
   /// Deterministic mode: the index-bound match phase of every distinct
   /// uncached query runs in parallel, then the stateful suppression phase
   /// commits serially in input order. Answers and final suppression state
-  /// are bitwise identical to a serial loop over `queries`.
+  /// are bitwise identical to a serial loop over `queries`. Each
+  /// client-tagged query's commit is framed by FrameTaggedQuery, so a
+  /// pre-tagged stream emits the events a per-client ClientTaggingService
+  /// loop emits.
   std::vector<SearchResult> ExecuteDeterministic(
       PrefetchableService& service,
       std::span<const KeywordQuery> queries) const;

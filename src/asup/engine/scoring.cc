@@ -34,36 +34,10 @@ double Bm25Scorer::TermWeight(const IndexStats& stats, size_t df) const {
   return std::log((n - d + 0.5) / (d + 0.5) + 1.0);
 }
 
-double Bm25Scorer::ScoreMatch(const ScoringContext& context, double doc_length,
-                              std::span<const uint32_t> freqs) const {
-  const IndexStats& stats = *context.stats;
-  const double avg_len =
-      stats.average_doc_length > 0.0 ? stats.average_doc_length : 1.0;
-  const double norm = k1_ * (1.0 - b_ + b_ * doc_length / avg_len);
-  double score = 0.0;
-  for (size_t i = 0; i < context.weights.size(); ++i) {
-    const double tf = static_cast<double>(freqs[i]);
-    score += context.weights[i] * tf * (k1_ + 1.0) / (tf + norm);
-  }
-  return score;
-}
-
 double TfIdfScorer::TermWeight(const IndexStats& stats, size_t df) const {
   if (df == 0) return 0.0;
   return std::log(static_cast<double>(stats.num_documents) /
                   static_cast<double>(df));
-}
-
-double TfIdfScorer::ScoreMatch(const ScoringContext& context,
-                               double doc_length,
-                               std::span<const uint32_t> freqs) const {
-  double score = 0.0;
-  for (size_t i = 0; i < context.weights.size(); ++i) {
-    if (context.dfs[i] == 0) continue;
-    const double tf = 1.0 + std::log(static_cast<double>(freqs[i]));
-    score += tf * context.weights[i];
-  }
-  return doc_length > 0.0 ? score / std::sqrt(doc_length) : score;
 }
 
 std::unique_ptr<ScoringFunction> MakeDefaultScorer() {

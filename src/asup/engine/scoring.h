@@ -1,6 +1,7 @@
 #ifndef ASUP_ENGINE_SCORING_H_
 #define ASUP_ENGINE_SCORING_H_
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <vector>
@@ -65,14 +66,30 @@ class ScoringFunction {
 };
 
 /// Okapi BM25 — the default ranking function of the substrate engine.
-class Bm25Scorer : public ScoringFunction {
+/// Final, with ScoreMatch inline: the engine's walk resolves the library
+/// scorers to their concrete types once per engine and scores each match
+/// through a direct, inlinable call (same expression, same order, so the
+/// scores are bitwise those of a call through ScoringFunction).
+class Bm25Scorer final : public ScoringFunction {
  public:
   explicit Bm25Scorer(double k1 = 1.2, double b = 0.75) : k1_(k1), b_(b) {}
 
   /// The term's idf.
   double TermWeight(const IndexStats& stats, size_t df) const override;
+
   double ScoreMatch(const ScoringContext& context, double doc_length,
-                    std::span<const uint32_t> freqs) const override;
+                    std::span<const uint32_t> freqs) const override {
+    const IndexStats& stats = *context.stats;
+    const double avg_len =
+        stats.average_doc_length > 0.0 ? stats.average_doc_length : 1.0;
+    const double norm = k1_ * (1.0 - b_ + b_ * doc_length / avg_len);
+    double score = 0.0;
+    for (size_t i = 0; i < context.weights.size(); ++i) {
+      const double tf = static_cast<double>(freqs[i]);
+      score += context.weights[i] * tf * (k1_ + 1.0) / (tf + norm);
+    }
+    return score;
+  }
 
  private:
   double k1_;
@@ -81,13 +98,22 @@ class Bm25Scorer : public ScoringFunction {
 
 /// Classic TF-IDF with log-scaled term frequency; provided as an alternate
 /// "proprietary" ranker to demonstrate that the defenses are agnostic to the
-/// scoring function.
-class TfIdfScorer : public ScoringFunction {
+/// scoring function. Final with ScoreMatch inline, like Bm25Scorer.
+class TfIdfScorer final : public ScoringFunction {
  public:
   /// log(n / df); 0 for an unindexed term, which ScoreMatch skips.
   double TermWeight(const IndexStats& stats, size_t df) const override;
+
   double ScoreMatch(const ScoringContext& context, double doc_length,
-                    std::span<const uint32_t> freqs) const override;
+                    std::span<const uint32_t> freqs) const override {
+    double score = 0.0;
+    for (size_t i = 0; i < context.weights.size(); ++i) {
+      if (context.dfs[i] == 0) continue;
+      const double tf = 1.0 + std::log(static_cast<double>(freqs[i]));
+      score += tf * context.weights[i];
+    }
+    return doc_length > 0.0 ? score / std::sqrt(doc_length) : score;
+  }
 };
 
 /// Returns the library's default scorer (BM25 with standard parameters).

@@ -185,13 +185,14 @@ struct BoundedIds {
 /// The walk of one id range: walks `node` over `range` of `index` once,
 /// scores each match against `context` as it passes and offers it to
 /// `top`, and its id to `ids`. Returns the range's match count; with
-/// `limit` 0 and no id sink it only counts.
-template <typename Entry, typename Sink>
+/// `limit` 0 and no id sink it only counts. `Scorer` is the scorer's
+/// concrete type where the engine knows it (Bm25Scorer, TfIdfScorer), so
+/// each match is scored through a direct call.
+template <typename Entry, typename Sink, typename Scorer>
 size_t StreamRange(const InvertedIndex& index, DocRange range,
                    const QueryNode& node, std::span<const TermId> score_terms,
-                   const ScoringContext& context,
-                   const ScoringFunction& scorer, size_t limit,
-                   TopK<Entry>& top, Sink& ids) {
+                   const ScoringContext& context, const Scorer& scorer,
+                   size_t limit, TopK<Entry>& top, Sink& ids) {
   if (limit == 0 && !Sink::kActive) return ExecuteCountIn(index, range, node);
   size_t matches = 0;
   ForEachMatchIn(index, range, node, score_terms,
@@ -285,7 +286,28 @@ MatchingEngine::MatchingEngine(const CorpusManager* manager,
       static_snapshot_(std::move(static_snapshot)),
       k_(k),
       pool_(pool),
-      scorer_(scorer ? std::move(scorer) : MakeDefaultScorer()) {}
+      scorer_(scorer ? std::move(scorer) : MakeDefaultScorer()) {
+  if (dynamic_cast<const Bm25Scorer*>(scorer_.get()) != nullptr) {
+    scorer_kind_ = ScorerKind::kBm25;
+  } else if (dynamic_cast<const TfIdfScorer*>(scorer_.get()) != nullptr) {
+    scorer_kind_ = ScorerKind::kTfIdf;
+  }
+}
+
+template <typename Walk>
+void MatchingEngine::WithConcreteScorer(Walk&& walk) const {
+  switch (scorer_kind_) {
+    case ScorerKind::kBm25:
+      walk(static_cast<const Bm25Scorer&>(*scorer_));
+      return;
+    case ScorerKind::kTfIdf:
+      walk(static_cast<const TfIdfScorer&>(*scorer_));
+      return;
+    case ScorerKind::kOther:
+      walk(*scorer_);
+      return;
+  }
+}
 
 void MatchingEngine::ForEachShard(
     size_t shards, const std::function<void(size_t)>& body) const {
@@ -338,9 +360,11 @@ RankedMatches MatchingEngine::WalkIn(const CorpusSnapshot& snapshot,
     // heap and one id sink.
     if constexpr (Sink::kActive) out.ids.reserve(std::min(max_ids, most));
     Sink ids(&out.ids, max_ids);
-    out.total_matches =
-        StreamRange(index, index.AllDocs(), node, score_terms, context,
-                    *scorer_, limit, top, ids);
+    WithConcreteScorer([&](const auto& scorer) {
+      out.total_matches = StreamRange(index, index.AllDocs(), node,
+                                      score_terms, context, scorer, limit,
+                                      top, ids);
+    });
     EmitSorted(top.TakeSorted(), out);
     return out;
   }
@@ -365,9 +389,11 @@ RankedMatches MatchingEngine::WalkIn(const CorpusSnapshot& snapshot,
     const DocRange range = snapshot.Shard(s);
     TopK<Entry> shard_top(limit, std::min<size_t>(most, range.hi - range.lo));
     Sink shard_ids(&slots[s].ids, max_ids);
-    slots[s].total_matches =
-        StreamRange(index, range, node, score_terms, context, *scorer_,
-                    limit, shard_top, shard_ids);
+    WithConcreteScorer([&](const auto& scorer) {
+      slots[s].total_matches =
+          StreamRange(index, range, node, score_terms, context, scorer,
+                      limit, shard_top, shard_ids);
+    });
     slots[s].top = shard_top.TakeSorted();
   });
 

@@ -1,6 +1,7 @@
 #ifndef ASUP_ENGINE_SEARCH_ENGINE_H_
 #define ASUP_ENGINE_SEARCH_ENGINE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -259,6 +260,12 @@ class MatchingEngine : public SearchService {
   void ForEachShard(size_t shards,
                     const std::function<void(size_t)>& body) const;
 
+  /// Calls `walk(scorer)` with the engine's scorer as its concrete type
+  /// (resolved once, at construction): a library scorer is passed as its
+  /// final class, so the walk's per-match ScoreMatch is a direct call.
+  template <typename Walk>
+  void WithConcreteScorer(Walk&& walk) const;
+
   /// TopMatchesNodeIn for one heap-entry type (with or without a carried
   /// local id) and one id sink type (none or bounded).
   template <typename Entry, typename Sink>
@@ -273,6 +280,9 @@ class MatchingEngine : public SearchService {
   size_t k_;
   ThreadPool* pool_;
   std::unique_ptr<ScoringFunction> scorer_;
+  /// scorer_'s concrete type, for WithConcreteScorer.
+  enum class ScorerKind : uint8_t { kBm25, kTfIdf, kOther };
+  ScorerKind scorer_kind_ = ScorerKind::kOther;
 };
 
 /// The single-index deployment: a MatchingEngine whose epochs have one

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "asup/obs/event_log.h"
-
 namespace asup {
 
 std::vector<DocId> SearchResult::DocIds() const {
@@ -27,12 +25,7 @@ SearchResult ClientTaggingService::Search(const KeywordQuery& query) {
 }
 
 SearchResult ClientTaggingService::SearchTagged(const KeywordQuery& tagged) {
-  ASUP_EVENT_QUERY_ISSUED(client_id_, tagged.hash(), tagged.terms());
-  SearchResult result = base_->Search(tagged);
-  ASUP_EVENT_EMIT(kAnswerServed, client_id_, tagged.hash(),
-                  result.docs.size(),
-                  result.status == QueryStatus::kOverflow ? 1 : 0);
-  return result;
+  return FrameTaggedQuery(tagged, [&] { return base_->Search(tagged); });
 }
 
 }  // namespace asup

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "asup/engine/query.h"
+#include "asup/obs/event_log.h"
 #include "asup/obs/metrics.h"
 #include "asup/text/document.h"
 #include "asup/util/stopwatch.h"
@@ -101,6 +102,21 @@ class QueryCountingService : public SearchService {
   SearchService* base_;
   std::atomic<uint64_t> queries_issued_{0};
 };
+
+/// The watchtower's framing of one client-tagged query: a kQueryIssued
+/// (+ per-term kQueryTerm) before `answer()` runs and a kAnswerServed
+/// after it returns, attributed to `tagged.client_id()`. Shared by
+/// ClientTaggingService and BatchExecutor::ExecuteDeterministic's commit,
+/// so a pre-tagged batch is framed exactly as a per-client loop.
+template <typename Answer>
+SearchResult FrameTaggedQuery(const KeywordQuery& tagged, Answer&& answer) {
+  ASUP_EVENT_QUERY_ISSUED(tagged.client_id(), tagged.hash(), tagged.terms());
+  SearchResult result = answer();
+  ASUP_EVENT_EMIT(kAnswerServed, tagged.client_id(), tagged.hash(),
+                  result.docs.size(),
+                  result.status == QueryStatus::kOverflow ? 1 : 0);
+  return result;
+}
 
 /// Decorator that stamps a fixed client id onto every query it forwards
 /// and emits the defense-observability events framing the query: a

@@ -52,37 +52,21 @@ void PostingList::Iterator::LoadBlock(size_t block) {
                           buffer_);
 }
 
-void PostingList::Iterator::SkipTo(uint32_t target) {
-  // Forward-only contract (see header): a target at or behind the current
-  // posting leaves the iterator exactly where it is.
-  if (!Valid() || buffer_.docs[pos_] >= target) return;
-  ASUP_CONTRACTS_ONLY(const size_t index_before = index_;)
+bool PostingList::Iterator::JumpToBlockOf(uint32_t target) {
   const auto& skips = list_->skips_;
-  if (skips[block_].last_doc < target) {
-    // First later block that can contain a doc >= target.
-    const auto it = std::lower_bound(
-        skips.begin() + static_cast<ptrdiff_t>(block_) + 1, skips.end(),
-        target, [](const SkipEntry& entry, uint32_t value) {
-          return entry.last_doc < value;
-        });
-    if (it == skips.end()) {
-      index_ = list_->count_;  // exhausted: every doc id is < target
-      return;
-    }
-    LoadBlock(static_cast<size_t>(it - skips.begin()));
-    index_ = block_ * kPostingBlock;
+  // First later block that can contain a doc >= target.
+  const auto it = std::lower_bound(
+      skips.begin() + static_cast<ptrdiff_t>(block_) + 1, skips.end(),
+      target, [](const SkipEntry& entry, uint32_t value) {
+        return entry.last_doc < value;
+      });
+  if (it == skips.end()) {
+    index_ = count_;  // exhausted: every doc id is < target
+    return false;
   }
-  // The block's last doc is >= target, so the in-buffer search must land.
-  const uint32_t* begin = buffer_.docs + pos_;
-  const uint32_t* end = buffer_.docs + buffer_.count;
-  const uint32_t* found = std::lower_bound(begin, end, target);
-  ASUP_DCHECK(found != end);
-  const size_t stepped = static_cast<size_t>(found - begin);
-  pos_ += stepped;
-  index_ += stepped;
-  ASUP_CONTRACTS_ONLY(
-      ASUP_DCHECK(index_ >= index_before);
-      ASUP_DCHECK(!Valid() || buffer_.docs[pos_] >= target);)
+  LoadBlock(static_cast<size_t>(it - skips.begin()));
+  index_ = block_ * kPostingBlock;
+  return true;
 }
 
 std::vector<Posting> PostingList::Decode() const {

@@ -1,6 +1,7 @@
 #ifndef ASUP_INDEX_POSTINGS_H_
 #define ASUP_INDEX_POSTINGS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -14,7 +15,8 @@ namespace asup {
 /// partitioned into fixed-size blocks of kPostingBlock postings, each block
 /// group-varint encoded (see block_codec.h) and fronted by a skip entry
 /// carrying its first/last doc id and byte offset. `Iterator::SkipTo`
-/// binary-searches the skip table and decodes at most one block — the
+/// gallops within the decoded block, or binary-searches the skip table
+/// and decodes at most one block — the
 /// standard skip-pointer layout of enterprise search indexes, and what
 /// keeps conjunctive intersections of a rare and a common term cheap.
 class PostingList {
@@ -81,8 +83,7 @@ class PostingList {
       if (index_ < count_ && pos_ == buffer_.count) LoadBlock(block_ + 1);
     }
 
-    /// Advances until Get().local_doc >= target (or exhaustion), jumping
-    /// whole blocks via the skip table where possible.
+    /// Advances until Get().local_doc >= target (or exhaustion).
     ///
     /// Contract: SkipTo only ever moves *forward*. A target at or behind
     /// the current posting's doc id — which multi-way intersections
@@ -90,7 +91,40 @@ class PostingList {
     /// documented no-op, not an error. Postconditions (ASUP_DCHECKed):
     /// index() never decreases, and whenever the iterator moved and is
     /// still Valid(), Get().local_doc >= target.
-    void SkipTo(uint32_t target);
+    ///
+    /// Inline for a target inside the current block: in a dense
+    /// intersection it is usually 1–3 postings ahead, so the search gallops
+    /// from the current posting (1, 2, 4, ... ahead) and binary-searches
+    /// only the last gap. A target past the block takes the out-of-line
+    /// jump (skip-table search, one block decode), and the gallop then
+    /// starts at the new block's first posting, which may itself be the
+    /// answer.
+    void SkipTo(uint32_t target) {
+      if (!Valid() || buffer_.docs[pos_] >= target) return;
+      ASUP_CONTRACTS_ONLY(const size_t index_before = index_;)
+      size_t from = pos_ + 1;  // the current posting is < target
+      if (buffer_.docs[buffer_.count - 1] < target) {
+        if (!JumpToBlockOf(target)) return;  // exhausted
+        from = 0;
+      }
+      // The block's last doc is >= target, so the gallop stops inside it.
+      const uint32_t* docs = buffer_.docs;
+      const size_t last = buffer_.count - 1;
+      size_t lo = from;
+      size_t hi = from;
+      for (size_t step = 1; docs[hi] < target; step <<= 1) {
+        lo = hi + 1;
+        hi = std::min(hi + step, last);
+      }
+      // docs[lo - 1] < target <= docs[hi] (lo == from: nothing behind).
+      const auto found = static_cast<size_t>(
+          std::lower_bound(docs + lo, docs + hi, target) - docs);
+      index_ += found - pos_;
+      pos_ = found;
+      ASUP_CONTRACTS_ONLY(
+          ASUP_DCHECK(index_ >= index_before);
+          ASUP_DCHECK(!Valid() || buffer_.docs[pos_] >= target);)
+    }
 
     /// Index of the current posting within the list.
     size_t index() const { return index_; }
@@ -98,6 +132,11 @@ class PostingList {
    private:
     /// Decodes block `block` into buffer_ and points pos_ at its start.
     void LoadBlock(size_t block);
+
+    /// SkipTo's block jump, for a target past the current block: loads the
+    /// first later block whose last doc is >= target and returns true, or
+    /// exhausts the iterator and returns false.
+    bool JumpToBlockOf(uint32_t target);
 
     const PostingList* list_;
     size_t count_ = 0;  // cached list_->count_: Valid() is one compare

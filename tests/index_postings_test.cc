@@ -273,6 +273,57 @@ TEST(PostingListTest, SkipToAgainstLinearScanRandomized) {
   }
 }
 
+// Every start position x every target over a three-block list (the last
+// block partial) whose docs have gaps of 1–4 and a wider gap before each
+// block's first doc: SkipTo lands on the first posting at or after the
+// start whose doc is >= target, in the block, at the next block's first
+// posting (a target equal to, or in the gap before, that doc) and past it.
+TEST(PostingListTest, SkipToExhaustiveOverThreeBlocksWithGaps) {
+  Rng rng(7);
+  PostingList::Builder builder;
+  std::vector<Posting> reference;
+  uint32_t doc = 2;
+  const size_t n = 2 * PostingList::kPostingBlock + 50;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) doc += 1 + static_cast<uint32_t>(rng.UniformBelow(4));
+    if (i > 0 && i % PostingList::kPostingBlock == 0) doc += 9;
+    const uint32_t freq = 1 + static_cast<uint32_t>(rng.UniformBelow(7));
+    builder.Add(doc, freq);
+    reference.push_back({doc, freq});
+  }
+  const PostingList list = std::move(builder).Build();
+  ASSERT_EQ(list.NumSkipEntries(), 3u);
+
+  auto at_start = list.begin();
+  for (size_t start = 0; start < n; ++start, at_start.Next()) {
+    ASSERT_EQ(at_start.index(), start);
+    for (uint32_t target = 0; target <= doc + 2; ++target) {
+      size_t expected = start;
+      while (expected < n && reference[expected].local_doc < target) {
+        ++expected;
+      }
+      auto it = at_start;
+      it.SkipTo(target);
+      if (expected == n) {
+        ASSERT_FALSE(it.Valid()) << "start " << start << " target " << target;
+        continue;
+      }
+      ASSERT_TRUE(it.Valid()) << "start " << start << " target " << target;
+      ASSERT_EQ(it.index(), expected)
+          << "start " << start << " target " << target;
+      ASSERT_EQ(it.Get(), reference[expected]);
+      // The iterator keeps walking from where SkipTo left it.
+      it.Next();
+      if (expected + 1 < n) {
+        ASSERT_TRUE(it.Valid());
+        ASSERT_EQ(it.Get(), reference[expected + 1]);
+      } else {
+        ASSERT_FALSE(it.Valid());
+      }
+    }
+  }
+}
+
 TEST(PostingListTest, InterleavedSkipAndNext) {
   PostingList::Builder builder;
   for (uint32_t d = 0; d < 600; ++d) builder.Add(d * 2, 1);

@@ -9,10 +9,9 @@
 // hit the answer cache, through AS-SIMPLE, AS-ARBI and AS-DECLINE in each
 // execution mode: serial Search through one ClientTaggingService per
 // client, BatchExecutor::ExecuteDeterministic over the pre-tagged stream
-// (the batch path takes a PrefetchableService, which the tagging decorator
-// is not), and BatchExecutor::ExecuteConcurrent through the per-client
-// taggers. In the ASUP_METRICS=OFF build only the stats assertions
-// compile.
+// (its commit frames each tagged query as the tagging decorator does), and
+// BatchExecutor::ExecuteConcurrent through the per-client taggers. In the
+// ASUP_METRICS=OFF build only the stats assertions compile.
 
 #include <cstdint>
 #include <map>
@@ -310,10 +309,12 @@ TEST_P(RecordConsistencyTest, EveryChannelReadsTheSameRecord) {
                          EventKind::kVirtualAnswer, EventKind::kCacheHit}) {
     EXPECT_TRUE(channels.AllAttributed(kind));
   }
-  if (mode != Mode::kDeterministic) {
-    // The taggers frame every query, hit or miss.
-    EXPECT_EQ(channels.Count(EventKind::kAnswerServed), stream.size());
-  }
+  // Every query is framed, hit or miss: by its client's tagger, or by the
+  // deterministic batch's commit.
+  EXPECT_EQ(channels.Count(EventKind::kQueryIssued), stream.size());
+  EXPECT_EQ(channels.Count(EventKind::kAnswerServed), stream.size());
+  EXPECT_TRUE(channels.AllAttributed(EventKind::kQueryIssued));
+  EXPECT_TRUE(channels.AllAttributed(EventKind::kAnswerServed));
 
   // Trace notes = stats, on the run whose every query was traced.
   if (mode == Mode::kSerial) {

@@ -3,8 +3,10 @@
 // set-algebra oracle that never touches the index or the iterators.
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "asup/engine/doc_iterator.h"
 #include "asup/engine/query_node.h"
 #include "asup/index/inverted_index.h"
+#include "asup/text/corpus.h"
 #include "asup/text/synthetic_corpus.h"
 #include "asup/util/random.h"
 
@@ -373,6 +376,176 @@ TEST(RangeWalkTest, RangeWalkIsTheWholeWalkRestricted) {
     }
     ExpectRangeWalkIsRestriction(index, node, OrStrategy::kAdaptive,
                                  random_ranges);
+  }
+}
+
+// A corpus whose head terms span many posting blocks, for the conjunctive
+// walk (TermAndIterator: leapfrog over in-block gallops and block jumps).
+// Term "t<i>" occurs in each document with probability kDensities[i], 1–3
+// times; 2–5 of 16 filler words vary the lengths. The random gaps put
+// leapfrog targets anywhere in a block, at a block's first or last
+// posting, and past it.
+constexpr double kDensities[] = {0.9, 0.6, 0.35, 0.1, 0.02, 0.004};
+
+Corpus MultiBlockCorpus(uint64_t seed, size_t num_docs) {
+  auto vocab = std::make_shared<Vocabulary>();
+  std::vector<TermId> heads;
+  for (size_t i = 0; i < std::size(kDensities); ++i) {
+    heads.push_back(vocab->AddWord("t" + std::to_string(i)));
+  }
+  std::vector<TermId> fillers;
+  for (int w = 0; w < 16; ++w) {
+    fillers.push_back(vocab->AddWord("f" + std::to_string(w)));
+  }
+  Rng rng(seed);
+  std::vector<Document> docs;
+  std::vector<TermId> tokens;
+  for (size_t id = 0; id < num_docs; ++id) {
+    tokens.clear();
+    for (size_t i = 0; i < heads.size(); ++i) {
+      if (rng.Bernoulli(kDensities[i])) {
+        tokens.insert(tokens.end(), 1 + rng.UniformBelow(3), heads[i]);
+      }
+    }
+    const size_t extra = 2 + rng.UniformBelow(4);
+    for (size_t i = 0; i < extra; ++i) {
+      tokens.push_back(fillers[rng.UniformBelow(fillers.size())]);
+    }
+    docs.emplace_back(static_cast<DocId>(id), tokens);
+  }
+  return Corpus(std::move(vocab), std::move(docs));
+}
+
+// Every conjunctive walk (ExecuteMatch, ExecuteCount, ExecuteCountIn,
+// ForEachMatchIn over a range) of And(`terms`) against a scan of the
+// documents, for each of `freq_term_sets`.
+void ExpectConjunctionMatchesScan(
+    const InvertedIndex& index, const std::vector<TermId>& terms,
+    const std::vector<std::vector<TermId>>& freq_term_sets,
+    const std::vector<DocRange>& ranges) {
+  std::vector<QueryNode> children;
+  for (const TermId t : terms) children.push_back(QueryNode::Term(t));
+  const QueryNode node = QueryNode::And(std::move(children));
+
+  std::vector<uint32_t> expected;
+  for (uint32_t local = 0; local < index.NumDocuments(); ++local) {
+    const Document& doc = index.DocAt(local);
+    if (std::all_of(terms.begin(), terms.end(),
+                    [&](TermId t) { return doc.Contains(t); })) {
+      expected.push_back(local);
+    }
+  }
+  // Two or more distinct indexed terms compile to the concrete term
+  // conjunction, which is the walk under test.
+  std::set<TermId> distinct(terms.begin(), terms.end());
+  const bool indexed = std::all_of(
+      distinct.begin(), distinct.end(),
+      [&](TermId t) { return !index.Postings(t).empty(); });
+  EXPECT_EQ(CompileQuery(index, node).TermConjunction() != nullptr,
+            indexed && distinct.size() >= 2);
+
+  EXPECT_EQ(ExecuteCount(index, node), expected.size());
+  for (const std::vector<TermId>& freq_terms : freq_term_sets) {
+    SCOPED_TRACE(testing::Message() << freq_terms.size() << " scoring terms");
+    std::vector<uint32_t> expected_freqs;
+    for (const uint32_t local : expected) {
+      for (const TermId t : freq_terms) {
+        expected_freqs.push_back(index.DocAt(local).FrequencyOf(t));
+      }
+    }
+    const MatchList matches = ExecuteMatch(index, node, freq_terms);
+    EXPECT_EQ(matches.local_docs, expected);
+    EXPECT_EQ(matches.freqs, expected_freqs);
+  }
+
+  const std::vector<TermId>& freq_terms = freq_term_sets.back();
+  for (const DocRange& range : ranges) {
+    SCOPED_TRACE(testing::Message()
+                 << "[" << range.lo << ", " << range.hi << ")");
+    std::vector<uint32_t> expected_docs;
+    std::vector<uint32_t> expected_freqs;
+    for (const uint32_t local : expected) {
+      if (local < range.lo || local >= range.hi) continue;
+      expected_docs.push_back(local);
+      for (const TermId t : freq_terms) {
+        expected_freqs.push_back(index.DocAt(local).FrequencyOf(t));
+      }
+    }
+    EXPECT_EQ(ExecuteCountIn(index, range, node), expected_docs.size());
+    std::vector<uint32_t> docs;
+    std::vector<uint32_t> freqs;
+    ForEachMatchIn(index, range, node, freq_terms,
+                   [&](uint32_t local, std::span<const uint32_t> match) {
+                     docs.push_back(local);
+                     freqs.insert(freqs.end(), match.begin(), match.end());
+                   });
+    EXPECT_EQ(docs, expected_docs);
+    EXPECT_EQ(freqs, expected_freqs);
+  }
+}
+
+TEST(ConjunctionWalkTest, MultiBlockConjunctionsMatchScan) {
+  const Corpus corpus = MultiBlockCorpus(41, 6000);
+  const InvertedIndex index(corpus);
+  const uint32_t n = static_cast<uint32_t>(index.NumDocuments());
+  const TermId t0 = 0, t1 = 1, t2 = 2, t3 = 3, t4 = 4, t5 = 5;
+  const TermId filler = 6;  // in no conjunction below
+  const TermId unindexed = static_cast<TermId>(corpus.vocabulary().size() + 3);
+  for (const TermId head : {t0, t1, t2}) {
+    ASSERT_GE(index.Postings(head).NumSkipEntries(), 8u) << head;
+  }
+  ASSERT_GT(index.Postings(t5).size(), 0u);
+
+  const std::vector<std::vector<TermId>> conjunctions = {
+      {t0, t1},              // dense x dense
+      {t1, t0},
+      {t2, t1},
+      {t4, t0},              // rare x dense
+      {t0, t5},
+      {t3, t1},
+      {t0, t1, t2},          // three and four terms
+      {t3, t2, t1, t0},
+      {t0, t4, t1, t2},
+      {t0, t0, t1},          // duplicates
+      {t1, t4, t1, t0},
+      {t0, t0},              // a duplicate of one term: the bare term
+      {t0, unindexed},       // an unindexed term empties the conjunction
+      {unindexed, t1, t2},
+  };
+  for (const std::vector<TermId>& terms : conjunctions) {
+    SCOPED_TRACE(testing::Message() << "conjunction of " << terms.size()
+                                    << " starting t" << terms.front());
+    // Scoring-term orders: none, the query's, reversed, rotated, with a
+    // term outside the conjunction (read from the document) and with a
+    // repeat.
+    std::vector<std::vector<TermId>> freq_term_sets = {{}, terms};
+    freq_term_sets.emplace_back(terms.rbegin(), terms.rend());
+    std::vector<TermId> rotated = terms;
+    std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+    freq_term_sets.push_back(rotated);
+    freq_term_sets.push_back({filler, terms.back()});
+    std::vector<TermId> mixed = terms;
+    mixed.insert(mixed.begin() + 1, filler);
+    mixed.push_back(terms.front());
+    freq_term_sets.push_back(mixed);
+
+    // Ranges at and next to every block boundary of each term's list.
+    std::vector<uint32_t> bounds = {0, 1, n / 2, n - 1, n};
+    for (const TermId t : terms) {
+      if (t >= corpus.vocabulary().size()) continue;
+      for (const uint32_t id : BlockBoundaryIds(index, t)) bounds.push_back(id);
+    }
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    std::vector<DocRange> ranges;
+    for (size_t i = 0; i < bounds.size(); ++i) {
+      if (i + 1 < bounds.size()) ranges.push_back({bounds[i], bounds[i + 1]});
+      if (i % 7 == 0) {
+        ranges.push_back({bounds[i], n});
+        ranges.push_back({0, bounds[i]});
+      }
+    }
+    ExpectConjunctionMatchesScan(index, terms, freq_term_sets, ranges);
   }
 }
 
