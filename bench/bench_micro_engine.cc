@@ -360,33 +360,42 @@ void LadderArgs(benchmark::internal::Benchmark* bench) {
 BENCHMARK(BM_ShardedSearchInline)->Apply(LadderArgs)->UseRealTime();
 BENCHMARK(BM_ShardedSearchPooled)->Apply(LadderArgs)->UseRealTime();
 
-// Plain top-5 over a two-term conjunction of the ladder corpus, one
-// partition: the walk every multi-word query runs (leapfrog, per-match
-// frequency reads, scoring, the bounded heap). Ladder terms nest, so the
-// rarer list is the match set. Dense: df32768 ∧ df65536, |Sel| 32,768 over
-// 98,304 postings, each leap 1–2 postings ahead. Skewed: df4096 ∧
-// df131072, a rare list leaping 32 postings at a time through a list that
-// holds every document.
-void ConjunctiveTopK(benchmark::State& state, const char* words) {
-  const Corpus& corpus = LadderCorpus();
-  static const InvertedIndex* index = new InvertedIndex(corpus);
-  const MatchingEngine engine(*index, 5);
-  const KeywordQuery query = KeywordQuery::Parse(corpus.vocabulary(), words);
+// Plain top-5 (TopK) and |Sel| (Count) over a two-term conjunction of the
+// ladder corpus, one partition: the walks every multi-word query runs
+// (leapfrog or probe, per-match frequency reads, scoring, the bounded
+// heap; the count alone). Ladder terms nest, so the rarer list is the
+// match set. dense_dense: df32768 ∧ df65536, |Sel| 32,768; both lists are
+// dense (PostingList::dense), so the df32768 driver steps and each of its
+// postings probes the df65536 bitmap. rare_dense: df4096 ∧ df131072, a
+// sparse driver probing a list that holds every document.
+const InvertedIndex& LadderIndex() {
+  static const InvertedIndex* index = new InvertedIndex(LadderCorpus());
+  return *index;
+}
+
+void BM_ConjunctiveTopK(benchmark::State& state, const char* words) {
+  const MatchingEngine engine(LadderIndex(), 5);
+  const KeywordQuery query =
+      KeywordQuery::Parse(LadderCorpus().vocabulary(), words);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.TopMatches(query, 5).docs.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK_CAPTURE(BM_ConjunctiveTopK, dense_dense, "df32768 df65536");
+BENCHMARK_CAPTURE(BM_ConjunctiveTopK, rare_dense, "df4096 df131072");
 
-void BM_ConjunctiveTopKDense(benchmark::State& state) {
-  ConjunctiveTopK(state, "df32768 df65536");
+void BM_ConjunctiveCount(benchmark::State& state, const char* words) {
+  const MatchingEngine engine(LadderIndex(), 5);
+  const KeywordQuery query =
+      KeywordQuery::Parse(LadderCorpus().vocabulary(), words);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.MatchCount(query));
+  }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ConjunctiveTopKDense);
-
-void BM_ConjunctiveTopKSkewed(benchmark::State& state) {
-  ConjunctiveTopK(state, "df4096 df131072");
-}
-BENCHMARK(BM_ConjunctiveTopKSkewed);
+BENCHMARK_CAPTURE(BM_ConjunctiveCount, dense_dense, "df32768 df65536");
+BENCHMARK_CAPTURE(BM_ConjunctiveCount, rare_dense, "df4096 df131072");
 
 // Block-format decode throughput: full scan of a 10k-posting list through
 // the group-varint block codec (the format every engine reads now).

@@ -302,14 +302,19 @@ MatchFreqReader::MatchFreqReader(const InvertedIndex& index,
                                  std::span<const TermId> freq_terms)
     : index_(index),
       terms_(freq_terms),
-      aligned_(freq_terms.size(), nullptr),
+      sources_(freq_terms.size()),
       freqs_(freq_terms.size(), 0) {
+  const TermAndIterator* conjunction = query.TermConjunction();
   for (size_t pos = 0; pos < freq_terms.size(); ++pos) {
     for (const TermIterator* term : query.aligned_terms) {
-      if (term->term() == freq_terms[pos]) {
-        aligned_[pos] = term;
-        break;
+      if (term->term() != freq_terms[pos]) continue;
+      if (conjunction != nullptr && conjunction->IsProbed(term)) {
+        sources_[pos].probed = ranked_.size();
+        ranked_.emplace_back(&term->list());
+      } else {
+        sources_[pos].stepped = term;
       }
+      break;
     }
   }
 }

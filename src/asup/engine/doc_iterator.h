@@ -1,9 +1,11 @@
 #ifndef ASUP_ENGINE_DOC_ITERATOR_H_
 #define ASUP_ENGINE_DOC_ITERATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,21 +53,22 @@ class DocIterator {
 class TermIterator final : public DocIterator {
  public:
   TermIterator(const PostingList& list, TermId term)
-      : it_(&list), size_(list.size()), term_(term) {}
+      : it_(&list), list_(&list), term_(term) {}
 
   bool Valid() const override { return it_.Valid(); }
   uint32_t Doc() const override { return it_.Get().local_doc; }
   void Next() override { it_.Next(); }
   void SkipTo(uint32_t target) override { it_.SkipTo(target); }
-  size_t CostEstimate() const override { return size_; }
+  size_t CostEstimate() const override { return list_->size(); }
 
   /// Frequency of the term in the current document. Requires Valid().
   uint32_t Freq() const { return it_.Get().freq; }
   TermId term() const { return term_; }
+  const PostingList& list() const { return *list_; }
 
  private:
   PostingList::Iterator it_;
-  size_t size_;
+  const PostingList* list_;
   TermId term_;
 };
 
@@ -76,12 +79,28 @@ class TermIterator final : public DocIterator {
 /// terms (TermAndIterator, every multi-word KeywordQuery), whose children
 /// are stepped with direct, inlinable calls. Final, so a walk holding the
 /// concrete type (detail::WalkRange) steps it without virtual calls.
+///
+/// A TermAndIterator probes every child but the driver (the rarest) whose
+/// list is dense (PostingList::dense): the driver and the other children
+/// leapfrog as above, and each doc they all agree on is tested against
+/// the probed children's bitmaps, rarest first. A probed child is never
+/// stepped: it stays on its first posting, never leaps the driver and
+/// never ends the walk; a candidate it lacks just steps the driver.
 template <typename Child>
 class BasicAndIterator final : public DocIterator {
  public:
-  explicit BasicAndIterator(std::vector<std::unique_ptr<Child>> children)
-      : children_(std::move(children)) {
-    ASUP_CHECK(children_.size() >= 2);
+  explicit BasicAndIterator(std::vector<std::unique_ptr<Child>> children) {
+    ASUP_CHECK(children.size() >= 2);
+    for (std::unique_ptr<Child>& child : children) {
+      if constexpr (kProbes) {
+        if (!children_.empty() && child->list().dense()) {
+          probes_.push_back(child->list().membership());
+          probed_.push_back(std::move(child));
+          continue;
+        }
+      }
+      children_.push_back(std::move(child));
+    }
     Leapfrog();
   }
 
@@ -105,7 +124,18 @@ class BasicAndIterator final : public DocIterator {
     return children_[0]->CostEstimate();
   }
 
+  /// True when `child` is one of this conjunction's probed children, which
+  /// do not sit on Doc(): read its frequency by rank.
+  bool IsProbed(const Child* child) const {
+    return std::any_of(
+        probed_.begin(), probed_.end(),
+        [&](const auto& probed) { return probed.get() == child; });
+  }
+
  private:
+  /// Only a conjunction of terms has lists to probe.
+  static constexpr bool kProbes = std::is_same_v<Child, TermIterator>;
+
   /// From the driver's current position, leapfrogs to the next doc every
   /// child agrees on (or exhaustion).
   void Leapfrog() {
@@ -123,19 +153,43 @@ class BasicAndIterator final : public DocIterator {
         }
         if (child.Doc() != candidate) break;
       }
-      if (i == n) {
-        doc_ = candidate;
-        valid_ = true;
-        return;
+      if (i < n) {
+        // Blocked: the driver leaps to the blocker's doc, not just past the
+        // candidate — the whole point of rarest-first leapfrogging.
+        driver.SkipTo(children_[i]->Doc());
+        continue;
       }
-      // Blocked: the driver leaps to the blocker's doc, not just past the
-      // candidate — the whole point of rarest-first leapfrogging.
-      driver.SkipTo(children_[i]->Doc());
+      if constexpr (kProbes) {
+        if (!ProbesContain(candidate)) {
+          driver.Next();
+          continue;
+        }
+      }
+      doc_ = candidate;
+      valid_ = true;
+      return;
     }
     valid_ = false;
   }
 
-  std::vector<std::unique_ptr<Child>> children_;  // rarest first
+  /// True when every probed list holds `candidate`.
+  bool ProbesContain(uint32_t candidate) const {
+    for (const PostingList::Membership& probe : probes_) {
+      if (!probe.Contains(candidate)) return false;
+    }
+    ASUP_CONTRACTS_ONLY(
+        // Never stepped: each probed child is still on its first posting.
+        for (const auto& probed : probed_) {
+          ASUP_DCHECK(probed->Valid());
+          ASUP_DCHECK_EQ(probed->list().membership().Rank(probed->Doc()),
+                         size_t{0});
+        })
+    return true;
+  }
+
+  std::vector<std::unique_ptr<Child>> children_;  // stepped, rarest first
+  std::vector<std::unique_ptr<Child>> probed_;    // probed, rarest first
+  std::vector<PostingList::Membership> probes_;   // probed_'s bitmaps
   uint32_t doc_ = 0;
   bool valid_ = false;
 };
@@ -255,7 +309,9 @@ struct CompiledQuery {
 
   /// Non-empty iff the tree is a pure conjunction of terms *and* every
   /// term is indexed: the distinct TermIterators, rarest-first, owned by
-  /// `root` and aligned at root->Doc() whenever root is Valid().
+  /// `root`. Whenever root is Valid(), each is aligned at root->Doc(),
+  /// except a term the conjunction probes (TermAndIterator::IsProbed),
+  /// which stays on its first posting.
   std::vector<const TermIterator*> aligned_terms;
 
   /// The root as its concrete TermIterator when the tree is one indexed
@@ -286,9 +342,10 @@ namespace detail {
 
 /// ForEachMatch's frequency reader: at each match of a compiled query,
 /// reads the frequencies of the scoring terms (`freq_terms`, in query-term
-/// order) into one per-query buffer. Conjunctions read frequencies from
-/// the aligned iterators; other shapes fall back to the document's term
-/// map.
+/// order) into one per-query buffer. A conjunction's stepped terms are
+/// read off their aligned iterators and its probed terms by rank
+/// (PostingList::RankedFreqs); other shapes fall back to the document's
+/// term map.
 class MatchFreqReader {
  public:
   MatchFreqReader(const InvertedIndex& index, const CompiledQuery& query,
@@ -299,9 +356,13 @@ class MatchFreqReader {
   std::span<const uint32_t> Read(uint32_t local_doc) {
     const Document* doc = nullptr;  // resolved lazily, once per match
     for (size_t pos = 0; pos < freqs_.size(); ++pos) {
-      if (aligned_[pos] != nullptr) {
+      const Source& source = sources_[pos];
+      if (source.stepped != nullptr) {
         // Aligned conjunction: the iterator sits on this very document.
-        freqs_[pos] = aligned_[pos]->Freq();
+        freqs_[pos] = source.stepped->Freq();
+      } else if (source.probed != kNotProbed) {
+        // A probed conjunction term: this document's posting, by rank.
+        freqs_[pos] = ranked_[source.probed].FreqOf(local_doc);
       } else {
         // A scoring term outside the aligned conjunction (general trees).
         // NOLINTNEXTLINE(asup-walk-docat): term-map fallback, no column
@@ -313,9 +374,19 @@ class MatchFreqReader {
   }
 
  private:
+  static constexpr size_t kNotProbed = SIZE_MAX;
+
+  /// Where one position's frequency comes from: a stepped iterator, a
+  /// probed term's reader (an index into ranked_), or else the lookup.
+  struct Source {
+    const TermIterator* stepped = nullptr;
+    size_t probed = kNotProbed;
+  };
+
   const InvertedIndex& index_;
   std::span<const TermId> terms_;
-  std::vector<const TermIterator*> aligned_;  // per position; null = lookup
+  std::vector<Source> sources_;  // per position
+  std::vector<PostingList::RankedFreqs> ranked_;
   std::vector<uint32_t> freqs_;
 };
 

@@ -219,6 +219,34 @@ bool TryDecodeStream(const std::vector<uint8_t>& bytes, size_t& offset,
   return true;
 }
 
+/// The doc stream: the first id, then deltas that must be >= 1 — ids
+/// strictly ascend — and whose running sum must fit uint32. Inlined, so
+/// TryDecodeBlock (the iterators' per-block decode) stays one body.
+[[gnu::always_inline]] inline bool TryDecodeDocStream(
+    const std::vector<uint8_t>& bytes, size_t& offset, size_t count,
+    uint32_t* docs) {
+  if (!TryDecodeStream(bytes, offset, count, docs)) return false;
+  uint64_t doc = docs[0];
+  for (size_t i = 1; i < count; ++i) {
+    if (docs[i] == 0) return false;
+    doc += docs[i];
+    if (doc > UINT32_MAX) return false;
+    docs[i] = static_cast<uint32_t>(doc);
+  }
+  return true;
+}
+
+/// The freq stream: `count` values, each >= 1.
+[[gnu::always_inline]] inline bool TryDecodeFreqStream(
+    const std::vector<uint8_t>& bytes, size_t& offset, size_t count,
+    uint32_t* freqs) {
+  if (!TryDecodeStream(bytes, offset, count, freqs)) return false;
+  for (size_t i = 0; i < count; ++i) {
+    if (freqs[i] == 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void EncodeBlock(std::span<const Posting> postings,
@@ -242,20 +270,8 @@ void EncodeBlock(std::span<const Posting> postings,
 bool TryDecodeBlock(const std::vector<uint8_t>& bytes, size_t& offset,
                     size_t count, DecodedBlock& block) {
   if (count == 0 || count > kMaxBlockPostings) return false;
-  if (!TryDecodeStream(bytes, offset, count, block.docs)) return false;
-  // Deltas (after the absolute first id) must be >= 1 — ids strictly
-  // ascend — and the running sum must fit uint32.
-  uint64_t doc = block.docs[0];
-  for (size_t i = 1; i < count; ++i) {
-    if (block.docs[i] == 0) return false;
-    doc += block.docs[i];
-    if (doc > UINT32_MAX) return false;
-    block.docs[i] = static_cast<uint32_t>(doc);
-  }
-  if (!TryDecodeStream(bytes, offset, count, block.freqs)) return false;
-  for (size_t i = 0; i < count; ++i) {
-    if (block.freqs[i] == 0) return false;
-  }
+  if (!TryDecodeDocStream(bytes, offset, count, block.docs)) return false;
+  if (!TryDecodeFreqStream(bytes, offset, count, block.freqs)) return false;
   block.count = count;
   return true;
 }
@@ -264,6 +280,22 @@ void DecodeBlock(const std::vector<uint8_t>& bytes, size_t& offset,
                  size_t count, DecodedBlock& block) {
   if (!TryDecodeBlock(bytes, offset, count, block)) {
     CodecFailure("block", "truncated or malformed block", offset);
+  }
+}
+
+void DecodeDocs(const std::vector<uint8_t>& bytes, size_t& offset,
+                size_t count, uint32_t* docs) {
+  if (count == 0 || count > kMaxBlockPostings ||
+      !TryDecodeDocStream(bytes, offset, count, docs)) {
+    CodecFailure("doc stream", "truncated or malformed stream", offset);
+  }
+}
+
+void DecodeFreqs(const std::vector<uint8_t>& bytes, size_t offset,
+                 size_t count, uint32_t* freqs) {
+  if (count == 0 || count > kMaxBlockPostings ||
+      !TryDecodeFreqStream(bytes, offset, count, freqs)) {
+    CodecFailure("freq stream", "truncated or malformed stream", offset);
   }
 }
 

@@ -96,6 +96,19 @@ bool TryDecodeBlock(const std::vector<uint8_t>& bytes, size_t& offset,
 void DecodeBlock(const std::vector<uint8_t>& bytes, size_t& offset,
                  size_t count, DecodedBlock& block);
 
+/// Trusted decode of one `count`-posting block's doc stream alone, from
+/// the block's start at `offset`, into absolute doc ids; leaves `offset`
+/// at the block's freq stream. Aborts (in every build type) on malformed
+/// input, as DecodeBlock does.
+void DecodeDocs(const std::vector<uint8_t>& bytes, size_t& offset,
+                size_t count, uint32_t* docs);
+
+/// Trusted decode of one `count`-posting block's freq stream alone, which
+/// starts at `offset` (where DecodeDocs left it), into `freqs`. Aborts (in
+/// every build type) on malformed input.
+void DecodeFreqs(const std::vector<uint8_t>& bytes, size_t offset,
+                 size_t count, uint32_t* freqs);
+
 }  // namespace blockcodec
 }  // namespace asup
 

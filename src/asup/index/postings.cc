@@ -1,6 +1,7 @@
 #include "asup/index/postings.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "asup/util/check.h"
 
@@ -34,6 +35,30 @@ PostingList PostingList::Builder::Build() && {
   list.skips_ = std::move(skips_);
   list.skips_.shrink_to_fit();
   list.count_ = count_;
+  if (count_ > 0 && kDenseRatio * count_ >= uint64_t{last_doc_} + 1) {
+    auto dense = std::make_shared<DenseIndex>();
+    const size_t num_words = last_doc_ / 64 + 1;
+    dense->words.assign(num_words, 0);
+    dense->freq_offsets.reserve(list.skips_.size());
+    uint32_t docs[kPostingBlock];
+    for (size_t block = 0; block < list.skips_.size(); ++block) {
+      size_t offset = list.skips_[block].offset;
+      const size_t count = list.BlockSize(block);
+      blockcodec::DecodeDocs(list.bytes_, offset, count, docs);
+      dense->freq_offsets.push_back(static_cast<uint32_t>(offset));
+      for (size_t i = 0; i < count; ++i) {
+        dense->words[docs[i] / 64] |= uint64_t{1} << (docs[i] % 64);
+      }
+    }
+    dense->ranks.resize(num_words);
+    uint32_t rank = 0;
+    for (size_t word = 0; word < num_words; ++word) {
+      dense->ranks[word] = rank;
+      rank += static_cast<uint32_t>(PopCount(dense->words[word]));
+    }
+    ASUP_CHECK_EQ(size_t{rank}, count_);
+    list.dense_ = std::move(dense);
+  }
   return list;
 }
 
@@ -53,20 +78,46 @@ void PostingList::Iterator::LoadBlock(size_t block) {
 }
 
 bool PostingList::Iterator::JumpToBlockOf(uint32_t target) {
-  const auto& skips = list_->skips_;
-  // First later block that can contain a doc >= target.
-  const auto it = std::lower_bound(
-      skips.begin() + static_cast<ptrdiff_t>(block_) + 1, skips.end(),
-      target, [](const SkipEntry& entry, uint32_t value) {
+  // First later block that can contain a doc >= target: gallop from the
+  // next block (1, 2, 4, ... ahead), then binary-search the last gap, so a
+  // short jump reads a few skip entries wherever the walk is in the table.
+  const SkipEntry* skips = list_->skips_.data();
+  const size_t end = list_->skips_.size();
+  size_t lo = block_ + 1;
+  size_t hi = lo;
+  for (size_t step = 1; hi < end && skips[hi].last_doc < target; step <<= 1) {
+    lo = hi + 1;
+    hi += step;
+  }
+  // Blocks before lo end below target; hi (if < end) ends at or past it.
+  const SkipEntry* found = std::lower_bound(
+      skips + lo, skips + std::min(hi, end), target,
+      [](const SkipEntry& entry, uint32_t value) {
         return entry.last_doc < value;
       });
-  if (it == skips.end()) {
+  if (found == skips + end) {
     index_ = count_;  // exhausted: every doc id is < target
     return false;
   }
-  LoadBlock(static_cast<size_t>(it - skips.begin()));
+  LoadBlock(static_cast<size_t>(found - skips));
   index_ = block_ * kPostingBlock;
   return true;
+}
+
+PostingList::Membership PostingList::membership() const {
+  ASUP_DCHECK(dense());
+  Membership view;
+  view.words_ = dense_->words.data();
+  view.ranks_ = dense_->ranks.data();
+  view.num_words_ = dense_->words.size();
+  view.count_ = count_;
+  return view;
+}
+
+void PostingList::DecodeBlockFreqs(size_t block, uint32_t* freqs) const {
+  ASUP_DCHECK(dense());
+  blockcodec::DecodeFreqs(bytes_, dense_->freq_offsets[block],
+                          BlockSize(block), freqs);
 }
 
 std::vector<Posting> PostingList::Decode() const {

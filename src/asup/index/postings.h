@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "asup/index/block_codec.h"
@@ -15,10 +16,22 @@ namespace asup {
 /// partitioned into fixed-size blocks of kPostingBlock postings, each block
 /// group-varint encoded (see block_codec.h) and fronted by a skip entry
 /// carrying its first/last doc id and byte offset. `Iterator::SkipTo`
-/// gallops within the decoded block, or binary-searches the skip table
-/// and decodes at most one block — the
-/// standard skip-pointer layout of enterprise search indexes, and what
-/// keeps conjunctive intersections of a rare and a common term cheap.
+/// gallops within the decoded block, or gallops over the skip table and
+/// decodes at most one block — the standard skip-pointer layout of
+/// enterprise search indexes, and what keeps conjunctive intersections of
+/// a rare and a common term cheap.
+///
+/// A dense list (kDenseRatio × size() >= last doc + 1) also carries a
+/// membership bitmap over [0, last doc], a rank table and each block's
+/// freq-stream offset, built once by Builder::Build. The bitmap holds one
+/// bit per id, and the list one posting per kDenseRatio ids or more, so the
+/// bitmap costs at most one byte per posting, the least its doc stream
+/// costs. A conjunction probes a dense list (Membership::Contains) instead
+/// of stepping it, and reads a probed posting's frequency by rank
+/// (RankedFreqs). None of it is part of the encoded format: the bytes,
+/// ByteSize() and the skip table are the same with or without it, and the
+/// rule depends only on the list, so a maintained and a freshly built list
+/// agree on it.
 class PostingList {
  public:
   /// Postings per block (and per skip entry).
@@ -36,6 +49,10 @@ class PostingList {
   /// fields. Deliberately *not* sizeof(SkipEntry) — ByteSize() reports the
   /// format's cost, which must not drift with struct padding or layout.
   static constexpr size_t kSkipEntryEncodedBytes = 3 * sizeof(uint32_t);
+
+  /// The density rule: a list is dense when it holds at least one of every
+  /// kDenseRatio ids up to its last doc.
+  static constexpr uint64_t kDenseRatio = 8;
 
   /// Incremental builder; postings must be added in strictly increasing
   /// local doc id order.
@@ -146,6 +163,65 @@ class PostingList {
     blockcodec::DecodedBlock buffer_;
   };
 
+  /// A dense list's bitmap and rank table as raw arrays: what a probe loop
+  /// holds, so a probe reads its bitmap word without chasing pointers
+  /// through the list. Valid while the list lives.
+  class Membership {
+   public:
+    /// True when `local` is in the list; any id, including ids past the
+    /// last doc.
+    bool Contains(uint32_t local) const {
+      const size_t word = local / 64;
+      return word < num_words_ && ((words_[word] >> (local % 64)) & 1) != 0;
+    }
+
+    /// Number of postings whose doc is below `local`: the posting index
+    /// of a doc in the list, and the list's size past its last doc.
+    size_t Rank(uint32_t local) const {
+      const size_t word = local / 64;
+      if (word >= num_words_) return count_;
+      const uint64_t below = words_[word] & ((uint64_t{1} << (local % 64)) - 1);
+      return ranks_[word] + PopCount(below);
+    }
+
+   private:
+    friend class PostingList;
+
+    const uint64_t* words_ = nullptr;  // bit d set iff doc d is listed
+    const uint32_t* ranks_ = nullptr;  // postings before each word
+    size_t num_words_ = 0;
+    size_t count_ = 0;
+  };
+
+  /// A dense list's frequencies by posting index: decodes one block's
+  /// freq stream at a time, so reads in ascending order decode each block
+  /// once. The reader of a probed conjunction term.
+  class RankedFreqs {
+   public:
+    /// Requires list->dense().
+    explicit RankedFreqs(const PostingList* list)
+        : list_(list), membership_(list->membership()) {}
+
+    /// Frequency of `local`, which must be in the list.
+    uint32_t FreqOf(uint32_t local) {
+      ASUP_CONTRACTS_ONLY(ASUP_DCHECK(membership_.Contains(local));)
+      const size_t rank = membership_.Rank(local);
+      ASUP_CONTRACTS_ONLY(ASUP_DCHECK_LT(rank, list_->size());)
+      const size_t block = rank / kPostingBlock;
+      if (block != block_) {
+        list_->DecodeBlockFreqs(block, freqs_);
+        block_ = block;
+      }
+      return freqs_[rank % kPostingBlock];
+    }
+
+   private:
+    const PostingList* list_;
+    Membership membership_;
+    size_t block_ = SIZE_MAX;  // whose freqs freqs_ holds
+    uint32_t freqs_[kPostingBlock];
+  };
+
   PostingList() = default;
 
   /// Number of postings (the term's document frequency).
@@ -168,6 +244,13 @@ class PostingList {
   /// Decodes the full list, block at a time.
   std::vector<Posting> Decode() const;
 
+  /// True when the list meets the density rule (kDenseRatio) and so
+  /// carries a membership bitmap and a rank table.
+  bool dense() const { return dense_ != nullptr; }
+
+  /// The list's bitmap and rank table. Requires dense().
+  Membership membership() const;
+
   Iterator begin() const { return Iterator(this); }
 
  private:
@@ -182,9 +265,31 @@ class PostingList {
                : count_ - block * kPostingBlock;
   }
 
+  /// Set bits of `bits`, inline: the build targets baseline x86-64, where
+  /// std::popcount is a libgcc call.
+  static size_t PopCount(uint64_t bits) {
+    bits -= (bits >> 1) & 0x5555555555555555u;
+    bits = (bits & 0x3333333333333333u) + ((bits >> 2) & 0x3333333333333333u);
+    bits = (bits + (bits >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+    return static_cast<size_t>((bits * 0x0101010101010101u) >> 56);
+  }
+
+  /// Decodes block `block`'s freq stream alone into `freqs`. Requires
+  /// dense().
+  void DecodeBlockFreqs(size_t block, uint32_t* freqs) const;
+
+  /// A dense list's probe structures; shared and immutable, so copying a
+  /// list (a pure-append publish) copies a pointer.
+  struct DenseIndex {
+    std::vector<uint64_t> words;         // bit d set iff doc d is listed
+    std::vector<uint32_t> ranks;         // postings before each word
+    std::vector<uint32_t> freq_offsets;  // each block's freq stream
+  };
+
   std::vector<uint8_t> bytes_;
   std::vector<SkipEntry> skips_;
   size_t count_ = 0;
+  std::shared_ptr<const DenseIndex> dense_;  // null unless dense
 };
 
 }  // namespace asup

@@ -82,6 +82,17 @@ void ExpectIndexesBitwiseEqual(const InvertedIndex& a,
       ASSERT_EQ(da[i].local_doc, db[i].local_doc) << "term " << term;
       ASSERT_EQ(da[i].freq, db[i].freq) << "term " << term;
     }
+    // The probe structures a conjunction reads instead of the postings.
+    ASSERT_EQ(pa.dense(), pb.dense()) << "term " << term;
+    if (!pa.dense()) continue;
+    const PostingList::Membership ma = pa.membership();
+    const PostingList::Membership mb = pb.membership();
+    for (uint32_t local = 0; local <= a.NumDocuments(); ++local) {
+      ASSERT_EQ(ma.Contains(local), mb.Contains(local))
+          << "term " << term << " local " << local;
+      ASSERT_EQ(ma.Rank(local), mb.Rank(local))
+          << "term " << term << " local " << local;
+    }
   }
 }
 
@@ -162,6 +173,37 @@ TEST(CorpusManagerTest, MergedEpochIndexBitwiseEqualsFreshBuild) {
     EXPECT_EQ(snapshot->Fingerprint(),
               CorpusSnapshot::Borrow(fresh)->Fingerprint());
   }
+}
+
+TEST(CorpusManagerTest, RemovalsMoveListsAcrossTheDensityRule) {
+  // 64 documents; "x" in 0–7 and 63 (df 9, last 63: dense, 72 >= 64), "y"
+  // in every tenth (df 7, last 60: sparse, 56 < 61). Removing 1–3 and
+  // 11–19 leaves x with df 6 and last local 51 (48 < 52: sparse) and y
+  // with df 7 and last local 48 (56 >= 49: dense).
+  auto vocab = std::make_shared<Vocabulary>();
+  const TermId x = vocab->AddWord("x");
+  const TermId y = vocab->AddWord("y");
+  const TermId filler = vocab->AddWord("f");
+  std::vector<Document> docs;
+  for (DocId id = 0; id < 64; ++id) {
+    std::vector<TermId> tokens = {filler};
+    if (id < 8 || id == 63) tokens.push_back(x);
+    if (id % 10 == 0) tokens.push_back(y);
+    docs.emplace_back(id, tokens);
+  }
+  CorpusManager manager(Corpus(vocab, std::move(docs)));
+  ASSERT_TRUE(manager.Current()->index().Postings(x).dense());
+  ASSERT_FALSE(manager.Current()->index().Postings(y).dense());
+
+  CorpusDelta delta;
+  for (DocId id : {1, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19}) {
+    delta.remove.push_back(id);
+  }
+  const SnapshotHandle snapshot = manager.Apply(delta);
+  EXPECT_FALSE(snapshot->index().Postings(x).dense());
+  EXPECT_TRUE(snapshot->index().Postings(y).dense());
+  ExpectIndexesBitwiseEqual(snapshot->index(),
+                            InvertedIndex(snapshot->corpus()));
 }
 
 TEST(CorpusManagerTest, FingerprintIsContentNotHistory) {

@@ -219,6 +219,32 @@ TEST(BlockCodecTest, PostingListRoundTripsAcrossBlockBoundaries) {
   }
 }
 
+// Each stream decodes alone: the doc stream from the block's start, to the
+// offset where the freq stream starts, and the freq stream from there, to
+// what the whole-block decode gives.
+TEST(BlockCodecTest, StreamsDecodeAlone) {
+  for (const size_t count : {size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                             size_t{64}, size_t{127}, kB}) {
+    const std::vector<Posting> postings = MakePostings(count, 40 + count);
+    std::vector<uint8_t> bytes = {7, 7};  // a block need not start at 0
+    EncodeBlock(postings, bytes);
+    size_t offset = 2;
+    DecodedBlock block;
+    ASSERT_TRUE(TryDecodeBlock(bytes, offset, count, block));
+    ASSERT_EQ(offset, bytes.size());
+    size_t freq_offset = 2;
+    uint32_t docs[kB];
+    DecodeDocs(bytes, freq_offset, count, docs);
+    ASSERT_LT(freq_offset, bytes.size());
+    uint32_t freqs[kB];
+    DecodeFreqs(bytes, freq_offset, count, freqs);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(docs[i], postings[i].local_doc) << count << " postings, " << i;
+      EXPECT_EQ(freqs[i], postings[i].freq) << count << " postings, " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace blockcodec
 }  // namespace asup

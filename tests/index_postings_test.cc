@@ -1,6 +1,7 @@
 #include "asup/index/postings.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -273,32 +274,38 @@ TEST(PostingListTest, SkipToAgainstLinearScanRandomized) {
   }
 }
 
-// Every start position x every target over a three-block list (the last
-// block partial) whose docs have gaps of 1–4 and a wider gap before each
-// block's first doc: SkipTo lands on the first posting at or after the
-// start whose doc is >= target, in the block, at the next block's first
-// posting (a target equal to, or in the gap before, that doc) and past it.
-TEST(PostingListTest, SkipToExhaustiveOverThreeBlocksWithGaps) {
-  Rng rng(7);
+// A list of `n` postings whose doc ids step by 1 + [0, max_gap) and by 9
+// more across each block boundary, with random freqs; `reference` gets
+// the same postings.
+PostingList GappedList(size_t n, uint32_t max_gap, uint64_t seed,
+                       std::vector<Posting>& reference) {
+  Rng rng(seed);
   PostingList::Builder builder;
-  std::vector<Posting> reference;
   uint32_t doc = 2;
-  const size_t n = 2 * PostingList::kPostingBlock + 50;
   for (size_t i = 0; i < n; ++i) {
-    if (i > 0) doc += 1 + static_cast<uint32_t>(rng.UniformBelow(4));
+    if (i > 0) doc += 1 + static_cast<uint32_t>(rng.UniformBelow(max_gap));
     if (i > 0 && i % PostingList::kPostingBlock == 0) doc += 9;
     const uint32_t freq = 1 + static_cast<uint32_t>(rng.UniformBelow(7));
     builder.Add(doc, freq);
     reference.push_back({doc, freq});
   }
-  const PostingList list = std::move(builder).Build();
-  ASSERT_EQ(list.NumSkipEntries(), 3u);
+  return std::move(builder).Build();
+}
 
+// From each posting index in `starts`, SkipTo every target from 0 to two
+// past the last doc must land on the first posting at or after it (or
+// exhaust), and the iterator must keep walking from there.
+void ExpectSkipToFromEveryStart(const PostingList& list,
+                                const std::vector<Posting>& reference,
+                                const std::vector<size_t>& starts) {
+  const size_t n = reference.size();
+  const uint32_t last = reference.back().local_doc;
   auto at_start = list.begin();
-  for (size_t start = 0; start < n; ++start, at_start.Next()) {
+  for (const size_t start : starts) {
+    while (at_start.index() < start) at_start.Next();
     ASSERT_EQ(at_start.index(), start);
-    for (uint32_t target = 0; target <= doc + 2; ++target) {
-      size_t expected = start;
+    size_t expected = start;
+    for (uint32_t target = 0; target <= last + 2; ++target) {
       while (expected < n && reference[expected].local_doc < target) {
         ++expected;
       }
@@ -322,6 +329,49 @@ TEST(PostingListTest, SkipToExhaustiveOverThreeBlocksWithGaps) {
       }
     }
   }
+}
+
+// Every start position x every target over a three-block list (the last
+// block partial) whose docs have gaps of 1–4 and a wider gap before each
+// block's first doc: SkipTo lands on the first posting at or after the
+// start whose doc is >= target, in the block, at the next block's first
+// posting (a target equal to, or in the gap before, that doc) and past it.
+TEST(PostingListTest, SkipToExhaustiveOverThreeBlocksWithGaps) {
+  std::vector<Posting> reference;
+  const PostingList list =
+      GappedList(2 * PostingList::kPostingBlock + 50, 4, 7, reference);
+  ASSERT_EQ(list.NumSkipEntries(), 3u);
+  std::vector<size_t> starts(reference.size());
+  for (size_t i = 0; i < starts.size(); ++i) starts[i] = i;
+  ExpectSkipToFromEveryStart(list, reference, starts);
+}
+
+// The block jump gallops over the skip table from the current block: over
+// 66 blocks (the last one partial) a jump crosses several doublings, lands
+// in each gap they leave, and runs off the table's end. Every posting of
+// the first two, a middle and the last two blocks is a start, and so is
+// every block's first and last posting.
+TEST(PostingListTest, SkipToExhaustiveOverSixtySixBlocks) {
+  constexpr size_t kB = PostingList::kPostingBlock;
+  std::vector<Posting> reference;
+  const PostingList list = GappedList(65 * kB + 37, 2, 11, reference);
+  ASSERT_EQ(list.NumSkipEntries(), 66u);
+  std::vector<size_t> starts;
+  for (const size_t block : {size_t{0}, size_t{1}, size_t{33}, size_t{64},
+                             size_t{65}}) {
+    for (size_t i = block * kB; i < std::min((block + 1) * kB,
+                                             reference.size());
+         ++i) {
+      starts.push_back(i);
+    }
+  }
+  for (size_t block = 0; block < 66; ++block) {
+    starts.push_back(block * kB);
+    starts.push_back(std::min((block + 1) * kB, reference.size()) - 1);
+  }
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  ExpectSkipToFromEveryStart(list, reference, starts);
 }
 
 TEST(PostingListTest, InterleavedSkipAndNext) {
@@ -354,6 +404,92 @@ TEST(PostingListTest, RandomRoundTrip) {
     }
     PostingList list = std::move(builder).Build();
     EXPECT_EQ(list.Decode(), reference);
+  }
+}
+
+// A list is dense exactly when kDenseRatio × size() >= last doc + 1.
+TEST(PostingListDenseTest, DensityRuleAtTheBoundary) {
+  const auto build = [](size_t count, uint32_t last) {
+    PostingList::Builder builder;
+    for (size_t i = 0; i + 1 < count; ++i) {
+      builder.Add(static_cast<uint32_t>(i), 1);
+    }
+    builder.Add(last, 1);
+    return std::move(builder).Build();
+  };
+  static_assert(PostingList::kDenseRatio == 8);
+  EXPECT_TRUE(build(1, 0).dense());
+  EXPECT_TRUE(build(1, 7).dense());
+  EXPECT_FALSE(build(1, 8).dense());
+  EXPECT_TRUE(build(300, 2399).dense());
+  EXPECT_FALSE(build(300, 2400).dense());
+  EXPECT_FALSE(PostingList().dense());
+}
+
+// Contains/Rank over every id up to past the last doc, and RankedFreqs
+// over every posting, against the list's own postings; the encoded bytes
+// are those of its blocks alone, as for a sparse list.
+void ExpectMembershipMatchesPostings(const PostingList& list,
+                                     const std::vector<Posting>& reference) {
+  ASSERT_TRUE(list.dense());
+  const PostingList::Membership membership = list.membership();
+  const uint32_t last = reference.back().local_doc;
+  size_t rank = 0;
+  for (uint32_t local = 0; local <= last + 130; ++local) {
+    const bool listed =
+        rank < reference.size() && reference[rank].local_doc == local;
+    ASSERT_EQ(membership.Contains(local), listed) << "local " << local;
+    ASSERT_EQ(membership.Rank(local), rank) << "local " << local;
+    if (listed) ++rank;
+  }
+  ASSERT_EQ(rank, reference.size());
+
+  PostingList::RankedFreqs ascending(&list);
+  for (const Posting& posting : reference) {
+    ASSERT_EQ(ascending.FreqOf(posting.local_doc), posting.freq);
+  }
+  // Any order reads the right frequency; it only decodes more blocks.
+  PostingList::RankedFreqs descending(&list);
+  for (auto it = reference.rbegin(); it != reference.rend(); ++it) {
+    ASSERT_EQ(descending.FreqOf(it->local_doc), it->freq);
+  }
+
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i < reference.size(); i += PostingList::kPostingBlock) {
+    const size_t end =
+        std::min(i + PostingList::kPostingBlock, reference.size());
+    blockcodec::EncodeBlock(
+        std::span<const Posting>(reference.data() + i, end - i), bytes);
+  }
+  EXPECT_EQ(list.PayloadBytes(), bytes.size());
+  EXPECT_EQ(list.Decode(), reference);
+}
+
+TEST(PostingListDenseTest, MembershipRankAndFreqsMatchThePostings) {
+  Rng rng(5);
+  // Last docs on either side of a word boundary (63 and 64 mod 64), and
+  // sizes with a full and a partial last block.
+  for (const uint32_t last : {63u, 64u, 1023u, 1024u, 4159u, 4160u}) {
+    for (const double density : {0.13, 0.5, 1.0}) {
+      std::vector<Posting> reference;
+      PostingList::Builder builder;
+      for (uint32_t local = 0; local < last; ++local) {
+        if (!rng.Bernoulli(density)) continue;
+        const uint32_t freq = 1 + static_cast<uint32_t>(rng.UniformBelow(300));
+        builder.Add(local, freq);
+        reference.push_back({local, freq});
+      }
+      builder.Add(last, 2);
+      reference.push_back({last, 2});
+      const PostingList list = std::move(builder).Build();
+      SCOPED_TRACE(testing::Message() << "last " << last << ", "
+                                      << reference.size() << " postings");
+      if (PostingList::kDenseRatio * reference.size() < last + 1u) {
+        EXPECT_FALSE(list.dense());
+        continue;
+      }
+      ExpectMembershipMatchesPostings(list, reference);
+    }
   }
 }
 

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include "asup/engine/doc_iterator.h"
+#include "asup/engine/query.h"
 #include "asup/engine/query_node.h"
+#include "asup/engine/search_engine.h"
 #include "asup/index/inverted_index.h"
+#include "asup/index/sharded_index.h"
 #include "asup/text/corpus.h"
 #include "asup/text/synthetic_corpus.h"
 #include "asup/util/random.h"
+#include "asup/util/thread_pool.h"
 
 namespace asup {
 namespace {
@@ -546,6 +550,189 @@ TEST(ConjunctionWalkTest, MultiBlockConjunctionsMatchScan) {
       }
     }
     ExpectConjunctionMatchesScan(index, terms, freq_term_sets, ranges);
+  }
+}
+
+// A corpus whose term lists sit on both sides of the density rule
+// (PostingList::kDenseRatio × df >= last doc + 1), for the conjunction's
+// probe path: a TermAndIterator probes every dense child but its driver.
+// Local ids equal document ids. "huge0"/"huge1" hold nearly every
+// document, so a conjunction of the two is big enough for a pooled engine
+// to fan it out (kFanOutMinPostings).
+constexpr size_t kDensityDocs = 36000;
+
+struct DensityTerm {
+  const char* word;
+  bool dense;
+};
+
+// In term-id order.
+constexpr DensityTerm kDensityTerms[] = {
+    {"huge0", true},   // density 0.97
+    {"huge1", true},   // 0.95
+    {"mid", true},     // 0.2
+    {"edge", true},    // 0.13, just above 1/8
+    {"sparse", false}, // 0.1
+    {"rare", false},   // 0.003: one partial block
+    {"exact", true},   // 8i+7, i < 1000: 8·df = last + 1 = 8000, and the
+                       // last doc is 63 mod 64; 7 blocks and a partial one
+    {"short", false},  // exact, one posting short: 8·999 < 8000
+    {"at64", true},    // 8i, i <= 1000: last doc 8000, 0 mod 64
+    {"at64sparse", false},  // 16i, i <= 500: last doc 8000, 8·501 < 8001
+};
+
+Corpus DensityRuleCorpus() {
+  auto vocab = std::make_shared<Vocabulary>();
+  for (const DensityTerm& term : kDensityTerms) vocab->AddWord(term.word);
+  std::vector<TermId> fillers;
+  for (int w = 0; w < 16; ++w) {
+    fillers.push_back(vocab->AddWord("f" + std::to_string(w)));
+  }
+  const double densities[] = {0.97, 0.95, 0.2, 0.13, 0.1, 0.003};
+  Rng rng(61);
+  std::vector<Document> docs;
+  std::vector<TermId> tokens;
+  const auto add = [&](TermId term) {
+    tokens.insert(tokens.end(), 1 + rng.UniformBelow(3), term);
+  };
+  for (size_t id = 0; id < kDensityDocs; ++id) {
+    tokens.clear();
+    for (TermId t = 0; t < std::size(densities); ++t) {
+      if (rng.Bernoulli(densities[t])) add(t);
+    }
+    if (id % 8 == 7 && id < 8000) {
+      add(6);
+      if (id != 8 * 500 + 7) add(7);
+    }
+    if (id % 8 == 0 && id <= 8000) add(8);
+    if (id % 16 == 0 && id <= 8000) add(9);
+    const size_t extra = 2 + rng.UniformBelow(4);
+    for (size_t i = 0; i < extra; ++i) {
+      tokens.push_back(fillers[rng.UniformBelow(fillers.size())]);
+    }
+    docs.emplace_back(static_cast<DocId>(id), tokens);
+  }
+  return Corpus(std::move(vocab), std::move(docs));
+}
+
+// Every walk of a conjunction on each side of the density rule against the
+// document scan: counts, ids, frequencies (ExpectConjunctionMatchesScan)
+// over block-boundary ranges and the ranges of 1, 2, 3, 4 and 7
+// partitions; and the engine's count, ids and top-k at limits 1, 5, 10 and
+// all over an index of each partition count, pooled, against the scan's
+// documents ranked by the engine's scorer.
+TEST(ConjunctionWalkTest, ConjunctionsAcrossTheDensityRuleMatchScan) {
+  const Corpus corpus = DensityRuleCorpus();
+  const InvertedIndex index(corpus);
+  const uint32_t n = static_cast<uint32_t>(index.NumDocuments());
+  for (TermId t = 0; t < std::size(kDensityTerms); ++t) {
+    const PostingList& list = index.Postings(t);
+    ASSERT_EQ(list.dense(), kDensityTerms[t].dense) << kDensityTerms[t].word;
+    EXPECT_EQ(PostingList::kDenseRatio * list.size() >=
+                  list.Decode().back().local_doc + 1u,
+              list.dense());
+  }
+  const TermId huge0 = 0, huge1 = 1, mid = 2, edge = 3, sparse = 4, rare = 5,
+               exact = 6, short_ = 7, at64 = 8, at64sparse = 9;
+  ASSERT_EQ(index.Postings(exact).size(), 1000u);
+  ASSERT_EQ(index.Postings(short_).size(), 999u);
+  ASSERT_GE(index.Postings(huge1).size(), kFanOutMinPostings);
+  const TermId filler = 10;  // in no conjunction below
+
+  const std::vector<std::vector<TermId>> conjunctions = {
+      {huge0, huge1},               // a dense driver probing a dense list
+      {huge1, mid},
+      {exact, huge0},
+      {at64, huge1, mid},
+      {edge, exact},                // dense ∧ dense, both small
+      {exact, at64},
+      {huge0, huge1, mid, edge},
+      {rare, huge0, sparse},        // rare ∧ dense ∧ sparse
+      {rare, exact, short_},
+      {short_, exact},
+      {sparse, edge, huge0, huge1},
+      {rare, at64sparse, huge0},
+      {at64sparse, at64},
+      {huge0, huge0, mid},          // duplicates
+      {exact, short_, exact},
+      {mid, rare, mid, huge1},
+  };
+
+  std::vector<uint32_t> partition_bounds;
+  for (const size_t parts : {1, 2, 3, 4, 7}) {
+    for (size_t s = 0; s < parts; ++s) {
+      partition_bounds.push_back(ShardRange(n, parts, s).lo);
+    }
+  }
+  for (const std::vector<TermId>& terms : conjunctions) {
+    SCOPED_TRACE(testing::Message() << "conjunction of " << terms.size()
+                                    << " starting "
+                                    << kDensityTerms[terms.front()].word);
+    std::vector<std::vector<TermId>> freq_term_sets = {{}, terms};
+    freq_term_sets.emplace_back(terms.rbegin(), terms.rend());
+    std::vector<TermId> mixed = terms;
+    mixed.insert(mixed.begin() + 1, filler);
+    mixed.push_back(terms.front());
+    freq_term_sets.push_back(mixed);
+
+    // Ranges between neighboring block boundaries of the sparser lists
+    // (the dense lists' boundaries would make thousands), a few longer
+    // ones, and every partition of each count.
+    std::vector<uint32_t> bounds = {0, 1, n / 2, n - 1, n};
+    for (const TermId t : terms) {
+      if (index.Postings(t).size() > 2000) continue;
+      for (const uint32_t id : BlockBoundaryIds(index, t)) bounds.push_back(id);
+    }
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    std::vector<DocRange> ranges;
+    for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+      ranges.push_back({bounds[i], bounds[i + 1]});
+      if (i % 9 == 0) ranges.push_back({bounds[i], n});
+    }
+    for (const size_t parts : {1, 2, 3, 4, 7}) {
+      for (size_t s = 0; s < parts; ++s) {
+        ranges.push_back(ShardRange(n, parts, s));
+      }
+    }
+    ExpectConjunctionMatchesScan(index, terms, freq_term_sets, ranges);
+  }
+
+  ThreadPool pool(2);
+  const MatchingEngine single(index, 10);
+  for (const size_t parts : {1, 2, 3, 4, 7}) {
+    const ShardedInvertedIndex sharded(corpus, parts);
+    const ShardedSearchService engine(sharded, 10, &pool);
+    for (const std::vector<TermId>& terms : conjunctions) {
+      std::vector<std::string> words;
+      for (const TermId t : terms) words.push_back(kDensityTerms[t].word);
+      const KeywordQuery query = KeywordQuery::FromWords(corpus.vocabulary(),
+                                                         words);
+      SCOPED_TRACE(testing::Message() << parts << " partitions, "
+                                      << query.terms().size() << " terms");
+      std::vector<DocId> expected_ids;
+      for (uint32_t local = 0; local < n; ++local) {
+        const Document& doc = index.DocAt(local);
+        if (std::all_of(terms.begin(), terms.end(),
+                        [&](TermId t) { return doc.Contains(t); })) {
+          expected_ids.push_back(doc.id());
+        }
+      }
+      EXPECT_EQ(engine.MatchCount(query), expected_ids.size());
+      EXPECT_EQ(engine.MatchIds(query), expected_ids);
+      const std::vector<ScoredDoc> ranked =
+          single.RankDocs(query, expected_ids);
+      for (const size_t limit : {size_t{1}, size_t{5}, size_t{10},
+                                 expected_ids.size()}) {
+        const RankedMatches top = engine.TopMatches(query, limit);
+        EXPECT_EQ(top.total_matches, expected_ids.size());
+        ASSERT_EQ(top.docs.size(), std::min(limit, ranked.size()));
+        for (size_t i = 0; i < top.docs.size(); ++i) {
+          ASSERT_EQ(top.docs[i].doc, ranked[i].doc) << "limit " << limit;
+          ASSERT_EQ(top.docs[i].score, ranked[i].score) << "limit " << limit;
+        }
+      }
+    }
   }
 }
 
